@@ -62,7 +62,7 @@ from .training import (
     sgd_step,
     train,
 )
-from .vecmath import cosine_similarity, l2_normalize, normalize_rows, sq_euclid
+from .vecmath import l2_normalize, normalize_rows
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "compute_distances",
     "compute_scores",
     "config_for_dataset",
-    "cosine_similarity",
     "eer",
     "fdr",
     "fnmr_at_fmr",
@@ -107,7 +106,6 @@ __all__ = [
     "roc",
     "sample_triplets",
     "sgd_step",
-    "sq_euclid",
     "srt_branch",
     "srt_loss",
     "train",

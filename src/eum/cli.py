@@ -192,8 +192,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for kind in ("triplet", "srt"):
         cfg = replace(base_cfg, loss_kind=kind)
         params, history = train(cfg, dataset)
-        models[kind] = params
-        write_checkpoint(out_dir / f"model_{kind}.eum", params)
+        path = out_dir / f"model_{kind}.eum"
+        write_checkpoint(path, params)
+        # score the model as stored, so `eum eval --model` reproduces its rows
+        models[kind] = read_checkpoint(path)
         _write_history(out_dir / f"history_{kind}.csv", history)
 
     baseline_ff = run_eval(dataset, "ff", None)

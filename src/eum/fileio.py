@@ -4,7 +4,10 @@ Embedding files: magic ``EMB1``, u32 version (=1), u32 d, u64 count, then
 per record u32 identity, u32 sample, u8 masked, u8 split, f32*d vector.
 Checkpoints: magic ``EUM1``, u32 version (=1), u32 d, f64 leaky slope,
 f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b, gamma,
-beta, running_mean, running_var, all f32. Everything little-endian.
+beta, running_mean, running_var, all f32. Everything little-endian. The
+model has no b: it is written as zeros, and a stored b is folded into
+running_mean on read. Malformed files raise CorruptRecord with the byte
+offset of the first bad record (for CSV, its line number).
 
 Vectors are float64 in memory and f32 on disk; a write/read round trip is
 lossless at 32-bit precision.
@@ -169,12 +172,16 @@ def read_embeddings(path) -> Dataset:
             offset=offset,
         )
     arr = np.frombuffer(body, dtype=dtype)
-    if np.any(arr["split"] > len(SPLIT_NAMES) - 1):
-        bad = int(np.argmax(arr["split"] > len(SPLIT_NAMES) - 1))
-        raise CorruptRecord(
-            f"{path}: record {bad} has split code {arr['split'][bad]}",
-            offset=_EMB_HEADER.size + bad * dtype.itemsize,
-        )
+    for bad, what in (
+        (arr["split"] >= len(SPLIT_NAMES), "an unknown split code"),
+        (~np.isfinite(arr["vector"]).all(axis=1), "a non-finite vector"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CorruptRecord(
+                f"{path}: record {i} has {what}",
+                offset=_EMB_HEADER.size + i * dtype.itemsize,
+            )
     return Dataset(
         identity=arr["identity"].astype(np.int64),
         sample=arr["sample"].astype(np.int64),
@@ -222,6 +229,8 @@ def import_csv(path) -> Dataset:
     identity, sample, masked, split, vectors = [], [], [], [], []
     for lineno, row in enumerate(rows, start=2):
         try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, header has {len(header)}")
             identity.append(int(row[0]))
             sample.append(int(row[1]))
             masked.append(bool(int(row[2])))
@@ -233,28 +242,23 @@ def import_csv(path) -> Dataset:
 
 
 def write_checkpoint(path, params: EumParameters) -> None:
+    d = params.d
+    zeros = np.zeros((NUM_LAYERS, d))  # the EUM1 bias slot
+    vectors = (params.bn_gamma, params.bn_beta, params.bn_running_mean, params.bn_running_var)
+    layers = np.concatenate([params.weights.reshape(NUM_LAYERS, -1), zeros, *vectors], axis=1)
     try:
         with open(path, "wb") as fh:
             fh.write(
                 _CKPT_HEADER.pack(
                     CKPT_MAGIC,
                     FORMAT_VERSION,
-                    params.d,
+                    d,
                     params.leaky_slope,
                     params.bn_epsilon,
                     params.bn_momentum,
                 )
             )
-            for i in range(NUM_LAYERS):
-                for arr in (
-                    params.weights[i],
-                    params.biases[i],
-                    params.bn_gamma[i],
-                    params.bn_beta[i],
-                    params.bn_running_mean[i],
-                    params.bn_running_var[i],
-                ):
-                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(layers.astype("<f4").tobytes())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -273,38 +277,23 @@ def read_checkpoint(path) -> EumParameters:
         raise BadMagic(f"{path}: magic {magic!r}, expected {CKPT_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
+    if d < 1:
+        raise CorruptRecord(f"{path}: dimension {d}", offset=8)
 
-    per_layer = d * d + 5 * d
-    expected = _CKPT_HEADER.size + NUM_LAYERS * per_layer * 4
-    if len(raw) != expected:
-        raise IoError(f"{path}: {len(raw)} bytes, expected {expected} for d={d}")
-
-    flat = np.frombuffer(raw, dtype="<f4", offset=_CKPT_HEADER.size).astype(np.float64)
-    params = EumParameters(
-        d=d,
-        leaky_slope=slope,
-        bn_epsilon=epsilon,
-        bn_momentum=momentum,
-        weights=[],
-        biases=[],
-        bn_gamma=[],
-        bn_beta=[],
-        bn_running_mean=[],
-        bn_running_var=[],
+    layer_bytes = (d * d + 5 * d) * 4
+    body = len(raw) - _CKPT_HEADER.size
+    expected = NUM_LAYERS * layer_bytes
+    if body != expected:
+        whole = min(body, expected) // layer_bytes
+        raise CorruptRecord(
+            f"{path}: body holds {body} bytes, d={d} needs {expected}",
+            offset=_CKPT_HEADER.size + whole * layer_bytes,
+        )
+    layers = np.frombuffer(raw, dtype="<f4", offset=_CKPT_HEADER.size).astype(np.float64)
+    w, b, gamma, beta, mean, var = np.split(
+        layers.reshape(NUM_LAYERS, -1), d * d + d * np.arange(5), axis=1
     )
-    pos = 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal pos
-        out = flat[pos:pos + n].copy()
-        pos += n
-        return out
-
-    for _ in range(NUM_LAYERS):
-        params.weights.append(take(d * d).reshape(d, d))
-        params.biases.append(take(d))
-        params.bn_gamma.append(take(d))
-        params.bn_beta.append(take(d))
-        params.bn_running_mean.append(take(d))
-        params.bn_running_var.append(take(d))
-    return params
+    # z + b - mean == z - (mean - b): folding a stored bias into the running
+    # mean gives the same inference output
+    flat = np.concatenate([w, gamma, beta, mean - b, var], axis=None)
+    return EumParameters(d, slope, epsilon, momentum, flat)

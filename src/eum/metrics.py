@@ -119,7 +119,7 @@ def means(scores: ScoreSet) -> tuple[float, float]:
 def fdr(scores: ScoreSet) -> float:
     """Fisher discriminant ratio (mu_G - mu_I)^2 / (sigma_G^2 + sigma_I^2).
 
-    Population (biased) variances; both-zero variance is an error.
+    Population variances (divided by n); both-zero variance is an error.
     """
     _require_nonempty(scores)
     g_mean, i_mean = means(scores)

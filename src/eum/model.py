@@ -1,14 +1,23 @@
 """The embedding unmasking network: four fully connected d -> d layers.
 
 Layers 1-3 are FC -> BatchNorm -> LeakyReLU; layer 4 is FC -> BatchNorm.
-Forward and backward passes are written out by hand in numpy. The backward
-pass goes through the batch-statistics terms of BatchNorm exactly, which is
-what the finite-difference tests pin down.
+Each FC is z = x W^T with no added constant, which the BatchNorm after it
+would cancel by subtracting the batch mean. Forward and backward passes are
+written out by hand in numpy. The backward pass goes through the
+batch-statistics terms of BatchNorm exactly, which is what the
+finite-difference tests pin down.
+
+Parameters live in one float64 buffer, ``flat``: all weights
+(NUM_LAYERS x d x d), then bn_gamma, bn_beta, bn_running_mean and
+bn_running_var (NUM_LAYERS x d each). The named attributes are ndarray
+views into it, so writing a row (``params.bn_gamma[i] = x``) writes the
+buffer. Gradients use the same layout over the trainable prefix (weights,
+gamma, beta), so an SGD step is one in-place update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,41 +32,42 @@ from .rng import CounterRng
 
 NUM_LAYERS = 4
 _INIT_STREAM = 11
+_VECTORS = ("bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var")
+
+
+def trainable_size(d: int) -> int:
+    """Length of the weights + gamma + beta prefix of the buffer."""
+    return NUM_LAYERS * (d * d + 2 * d)
+
+
+def _bind_views(obj, d: int) -> None:
+    """Set obj.weights and as many of _VECTORS as obj.flat holds."""
+    n_w = NUM_LAYERS * d * d
+    obj.weights = obj.flat[:n_w].reshape(NUM_LAYERS, d, d)
+    for name, rows in zip(_VECTORS, obj.flat[n_w:].reshape(-1, NUM_LAYERS, d)):
+        setattr(obj, name, rows)
 
 
 @dataclass
 class EumParameters:
-    """Weights, biases and BatchNorm state for all four layers.
+    """Weights and BatchNorm state for all four layers, in one buffer.
 
-    weights[i] is d x d with one output unit per row; the bn_* lists hold
-    one length-d array per layer. running_mean/var are inference-time
-    statistics, updated only by forward_train.
+    weights[i] is d x d with one output unit per row; bn_gamma[i] etc. are
+    length-d rows (see the module docstring for the layout). running_mean/var
+    are inference-time statistics, updated only by forward_train.
     """
 
     d: int
     leaky_slope: float
     bn_epsilon: float
     bn_momentum: float
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    bn_gamma: list[np.ndarray]
-    bn_beta: list[np.ndarray]
-    bn_running_mean: list[np.ndarray]
-    bn_running_var: list[np.ndarray]
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        _bind_views(self, self.d)
 
     def copy(self) -> "EumParameters":
-        return EumParameters(
-            d=self.d,
-            leaky_slope=self.leaky_slope,
-            bn_epsilon=self.bn_epsilon,
-            bn_momentum=self.bn_momentum,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            bn_gamma=[g.copy() for g in self.bn_gamma],
-            bn_beta=[b.copy() for b in self.bn_beta],
-            bn_running_mean=[m.copy() for m in self.bn_running_mean],
-            bn_running_var=[v.copy() for v in self.bn_running_var],
-        )
+        return replace(self, flat=self.flat.copy())
 
 
 @dataclass
@@ -66,7 +76,7 @@ class ForwardCache:
 
     batch: np.ndarray
     fc_inputs: list[np.ndarray] = field(default_factory=list)   # input to each FC
-    pre_bn: list[np.ndarray] = field(default_factory=list)      # z = x W^T + b
+    pre_bn: list[np.ndarray] = field(default_factory=list)      # z = x W^T
     bn_mean: list[np.ndarray] = field(default_factory=list)
     bn_inv_std: list[np.ndarray] = field(default_factory=list)  # 1/sqrt(var+eps)
     bn_normalized: list[np.ndarray] = field(default_factory=list)
@@ -75,13 +85,17 @@ class ForwardCache:
 
 @dataclass
 class ParamGrads:
-    """Gradients shaped like the trainable arrays, plus d(loss)/d(input)."""
+    """Gradients in the trainable-prefix layout, plus d(loss)/d(input).
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    bn_gamma: list[np.ndarray]
-    bn_beta: list[np.ndarray]
-    input_grad: np.ndarray
+    weights, bn_gamma and bn_beta are views into flat, as in EumParameters.
+    """
+
+    d: int
+    flat: np.ndarray
+    input_grad: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        _bind_views(self, self.d)
 
 
 def init_params(
@@ -100,19 +114,10 @@ def init_params(
         raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
     rng = CounterRng(seed, stream=_INIT_STREAM)
     std = float(np.sqrt(2.0 / (d * (1.0 + leaky_slope**2))))
-    weights = [rng.normal(d * d, sigma=std).reshape(d, d) for _ in range(NUM_LAYERS)]
-    return EumParameters(
-        d=d,
-        leaky_slope=leaky_slope,
-        bn_epsilon=bn_epsilon,
-        bn_momentum=bn_momentum,
-        weights=weights,
-        biases=[np.zeros(d) for _ in range(NUM_LAYERS)],
-        bn_gamma=[np.ones(d) for _ in range(NUM_LAYERS)],
-        bn_beta=[np.zeros(d) for _ in range(NUM_LAYERS)],
-        bn_running_mean=[np.zeros(d) for _ in range(NUM_LAYERS)],
-        bn_running_var=[np.ones(d) for _ in range(NUM_LAYERS)],
-    )
+    weights = [rng.normal(d * d, sigma=std) for _ in range(NUM_LAYERS)]
+    vectors = np.repeat([1.0, 0.0, 0.0, 1.0], NUM_LAYERS * d)  # order of _VECTORS
+    flat = np.concatenate(weights + [vectors])
+    return EumParameters(d, leaky_slope, bn_epsilon, bn_momentum, flat)
 
 
 def _check_batch(params: EumParameters, batch: np.ndarray) -> np.ndarray:
@@ -145,7 +150,7 @@ def forward_train(params: EumParameters, batch) -> tuple[np.ndarray, ForwardCach
     mom = params.bn_momentum
     for i in range(NUM_LAYERS):
         cache.fc_inputs.append(h)
-        z = h @ params.weights[i].T + params.biases[i]
+        z = h @ params.weights[i].T
         mean = z.mean(axis=0)
         var = np.mean((z - mean) ** 2, axis=0)  # population variance
         inv_std = 1.0 / np.sqrt(var + params.bn_epsilon)
@@ -173,7 +178,7 @@ def forward_infer(params: EumParameters, batch) -> np.ndarray:
     batch = _check_batch(params, batch)
     h = batch
     for i in range(NUM_LAYERS):
-        z = h @ params.weights[i].T + params.biases[i]
+        z = h @ params.weights[i].T
         inv_std = 1.0 / np.sqrt(params.bn_running_var[i] + params.bn_epsilon)
         post_bn = params.bn_gamma[i] * (z - params.bn_running_mean[i]) * inv_std
         post_bn += params.bn_beta[i]
@@ -185,7 +190,7 @@ def backward(params: EumParameters, cache: ForwardCache, grad_outputs) -> ParamG
     """Exact gradients of a scalar loss through the whole network.
 
     grad_outputs is d(loss)/d(outputs) for the forward_train call that
-    produced the cache. Returns gradients for W, b, gamma, beta of every
+    produced the cache. Returns gradients for W, gamma, beta of every
     layer plus d(loss)/d(input batch) for diagnostics.
     """
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
@@ -199,10 +204,7 @@ def backward(params: EumParameters, cache: ForwardCache, grad_outputs) -> ParamG
         raise CacheMismatch("cache produced for a different dimension")
 
     n = cache.batch.shape[0]
-    d_weights: list[np.ndarray] = [None] * NUM_LAYERS  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * NUM_LAYERS  # type: ignore[list-item]
-    d_gamma: list[np.ndarray] = [None] * NUM_LAYERS  # type: ignore[list-item]
-    d_beta: list[np.ndarray] = [None] * NUM_LAYERS  # type: ignore[list-item]
+    grads = ParamGrads(params.d, np.empty(trainable_size(params.d)))
 
     g = grad_outputs
     for i in reversed(range(NUM_LAYERS)):
@@ -212,25 +214,19 @@ def backward(params: EumParameters, cache: ForwardCache, grad_outputs) -> ParamG
 
         # BatchNorm backward with batch-statistics terms
         x_norm = cache.bn_normalized[i]
-        d_gamma[i] = np.sum(g * x_norm, axis=0)
-        d_beta[i] = np.sum(g, axis=0)
+        grads.bn_gamma[i] = np.sum(g * x_norm, axis=0)
+        grads.bn_beta[i] = np.sum(g, axis=0)
         dxn = g * params.bn_gamma[i]
         dz = (cache.bn_inv_std[i] / n) * (
             n * dxn - dxn.sum(axis=0) - x_norm * np.sum(dxn * x_norm, axis=0)
         )
 
-        # FC backward: z = x W^T + b
-        d_weights[i] = dz.T @ cache.fc_inputs[i]
-        d_biases[i] = dz.sum(axis=0)
+        # FC backward: z = x W^T
+        grads.weights[i] = dz.T @ cache.fc_inputs[i]
         g = dz @ params.weights[i]
 
-    return ParamGrads(
-        weights=d_weights,
-        biases=d_biases,
-        bn_gamma=d_gamma,
-        bn_beta=d_beta,
-        input_grad=g,
-    )
+    grads.input_grad = g
+    return grads
 
 
 def sgd_step(params: EumParameters, grads: ParamGrads, lr: float) -> EumParameters:
@@ -239,14 +235,8 @@ def sgd_step(params: EumParameters, grads: ParamGrads, lr: float) -> EumParamete
     Running BatchNorm statistics are left untouched. Updates in place and
     returns the same object.
     """
-    for i in range(NUM_LAYERS):
-        for p, g in (
-            (params.weights[i], grads.weights[i]),
-            (params.biases[i], grads.biases[i]),
-            (params.bn_gamma[i], grads.bn_gamma[i]),
-            (params.bn_beta[i], grads.bn_beta[i]),
-        ):
-            if p.shape != g.shape:
-                raise ShapeMismatch(f"layer {i + 1}: {p.shape} vs {g.shape}")
-            p -= lr * g
+    n = trainable_size(params.d)
+    if grads.flat.shape != (n,):
+        raise ShapeMismatch(f"gradient buffer {grads.flat.shape} vs trainable size {n}")
+    params.flat[:n] -= lr * grads.flat
     return params

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, ZeroVector
+from .errors import ZeroVector
 
 ZERO_NORM_THRESHOLD = 1e-12
 
@@ -34,34 +34,3 @@ def normalize_rows(m) -> np.ndarray:
         bad = int(np.argmax(norms <= ZERO_NORM_THRESHOLD))
         raise ZeroVector(f"row {bad} has norm {norms[bad]:g}")
     return m / norms[:, None]
-
-
-def sq_euclid(x, y) -> float:
-    """Squared euclidean distance between two normalized vectors."""
-    x = _as_f64(x)
-    y = _as_f64(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.dot(diff, diff))
-
-
-def cosine_similarity(x, y) -> float:
-    """Cosine of the angle between two nonzero vectors, in [-1, 1]."""
-    x = _as_f64(x)
-    y = _as_f64(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx <= ZERO_NORM_THRESHOLD or ny <= ZERO_NORM_THRESHOLD:
-        raise ZeroVector("cosine undefined for zero vector")
-    return float(np.dot(x, y) / (nx * ny))
-
-
-def batch_mean(values) -> float:
-    """Arithmetic mean of a nonempty array."""
-    values = _as_f64(values)
-    if values.size == 0:
-        raise EmptyBatch("mean of empty array")
-    return float(np.mean(values))

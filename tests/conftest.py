@@ -1,5 +1,7 @@
 """Test environment: pin BLAS to one thread before numpy first loads.
 
+EUM_THREADS is the one knob; eum._threads turns it into the BLAS variables.
+
 Single-threaded math keeps every reduction order fixed, which the
 byte-determinism tests rely on.
 """
@@ -7,15 +9,8 @@ byte-determinism tests rely on.
 import os
 
 os.environ.setdefault("EUM_THREADS", "1")
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
 
+import eum._threads  # noqa: E402,F401  (exports EUM_THREADS to every BLAS variable)
 import pytest
 
 from eum.synth import SynthSpec, gen_dataset

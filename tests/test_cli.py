@@ -176,13 +176,18 @@ def test_eval_model_changes_masked_scores(workdir, data_file, model_dir):
     assert (out_model / "report.json").read_text() != (out_raw / "report.json").read_text()
 
 
-def test_compare_csv_contract(workdir, data_file):
+@pytest.fixture(scope="module")
+def compare_dir(workdir, data_file):
     out = workdir / "cmp"
     rc = main(
         ["compare", "--data", str(data_file), "--out", str(out)] + TRAIN_ARGS
     )
     assert rc == 0
-    lines = (out / "compare.csv").read_text().splitlines()
+    return out
+
+
+def test_compare_csv_contract(compare_dir):
+    lines = (compare_dir / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("# baseline ff eer=")
     assert lines[1] == COMPARE_COLUMNS
     assert len(lines) == 8
@@ -198,7 +203,21 @@ def test_compare_csv_contract(workdir, data_file):
         "model_triplet.eum", "model_srt.eum",
         "history_triplet.csv", "history_srt.csv", "manifest.json",
     ):
-        assert (out / name).exists()
+        assert (compare_dir / name).exists()
+
+
+def test_eval_of_stored_models_reproduces_compare_rows(workdir, data_file, compare_dir):
+    lines = (compare_dir / "compare.csv").read_text().splitlines()
+    names = COMPARE_COLUMNS.split(",")[2:]
+    for row in lines[2:]:
+        setting, variant, *cells = row.split(",")
+        out = workdir / f"eval_{setting}_{variant}"
+        args = ["eval", "--data", str(data_file), "--out", str(out), "--setting", setting]
+        if variant != "baseline":
+            args += ["--model", str(compare_dir / f"model_{variant}.eum")]
+        assert main(args) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert [rep[name] for name in names] == [float(c) for c in cells], row
 
 
 def test_missing_data_file_fails_cleanly(workdir, capsys):

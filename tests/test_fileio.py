@@ -4,8 +4,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eum.errors import BadMagic, CorruptRecord, DimensionMismatch, IoError, VersionUnsupported
+from eum.errors import (
+    BadMagic,
+    CorruptRecord,
+    DimensionMismatch,
+    EumError,
+    IoError,
+    VersionUnsupported,
+)
 from eum.fileio import (
     CKPT_MAGIC,
     EMB_MAGIC,
@@ -20,7 +29,7 @@ from eum.fileio import (
     write_checkpoint,
     write_embeddings,
 )
-from eum.model import NUM_LAYERS, forward_infer, init_params
+from eum.model import NUM_LAYERS, forward_infer, forward_train, init_params
 from eum.rng import CounterRng
 from eum.synth import SynthSpec, gen_dataset
 
@@ -130,6 +139,17 @@ def test_embeddings_bad_split_code(tmp_path):
     assert err.value.offset == header
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embeddings_non_finite_vector_offset(tmp_path, bad):
+    ds = sample_dataset(d=4, n=5)
+    ds.vectors[3, 2] = bad
+    path = tmp_path / "nan.emb"
+    write_embeddings(path, ds)
+    with pytest.raises(CorruptRecord, match="record 3 has a non-finite vector") as err:
+        read_embeddings(path)
+    assert err.value.offset == struct.calcsize("<4sIIQ") + 3 * (10 + 4 * 4)
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         read_embeddings(tmp_path / "absent.emb")
@@ -160,6 +180,19 @@ def test_csv_corruption(tmp_path):
     path.write_text("who,knows\n")
     with pytest.raises(CorruptRecord):
         import_csv(path)
+
+
+def test_csv_ragged_row_names_its_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text(
+        "identity,sample,masked,split,e0,e1\n"
+        "1,0,0,train,0.5,0.25\n"
+        "1,1,0,train,0.5,0.25\n"
+        "2,0,1,val,0.5\n"
+    )
+    with pytest.raises(CorruptRecord, match="line 4: 5 fields, header has 6") as err:
+        import_csv(path)
+    assert err.value.offset == 4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -200,12 +233,13 @@ def test_checkpoint_byte_layout(tmp_path):
     assert (magic, version, d) == (b"EUM1", 1, 2)
     assert (slope, eps, mom) == (p.leaky_slope, p.bn_epsilon, p.bn_momentum)
     off = struct.calcsize("<4sIIddd")
-    # per layer: W (d*d), b, gamma, beta, running_mean, running_var as f32
+    # per layer: W (d*d), b, gamma, beta, running_mean, running_var as f32;
+    # the model has no b, so its slot holds zeros
     for i in range(NUM_LAYERS):
         w = np.frombuffer(raw, dtype="<f4", count=4, offset=off).reshape(2, 2)
         assert np.array_equal(w, p.weights[i].astype(np.float32))
         off += 16
-        for arr in (p.biases[i], p.bn_gamma[i], p.bn_beta[i],
+        for arr in (np.zeros(2), p.bn_gamma[i], p.bn_beta[i],
                     p.bn_running_mean[i], p.bn_running_var[i]):
             got = np.frombuffer(raw, dtype="<f4", count=2, offset=off)
             assert np.array_equal(got, arr.astype(np.float32))
@@ -218,12 +252,95 @@ def test_checkpoint_truncated(tmp_path):
     path = tmp_path / "cut.eum"
     write_checkpoint(path, p)
     raw = path.read_bytes()
+    header = struct.calcsize("<4sIIddd")
+    layer = (4 * 4 + 5 * 4) * 4
     path.write_bytes(raw[:-7])
-    with pytest.raises((IoError, CorruptRecord)):
+    with pytest.raises(CorruptRecord) as err:
         read_checkpoint(path)
+    assert err.value.offset == header + (NUM_LAYERS - 1) * layer  # the last layer is cut
+    path.write_bytes(raw[: header + layer + 1])
+    with pytest.raises(CorruptRecord) as err:
+        read_checkpoint(path)
+    assert err.value.offset == header + layer
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(BadMagic):
         read_checkpoint(path)
+
+
+def test_checkpoint_oversized(tmp_path):
+    p = init_params(4, seed=2)
+    path = tmp_path / "long.eum"
+    write_checkpoint(path, p)
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\0" * 3)
+    with pytest.raises(CorruptRecord) as err:
+        read_checkpoint(path)
+    assert err.value.offset == len(raw)
+
+
+def test_checkpoint_zero_dimension(tmp_path):
+    path = tmp_path / "d0.eum"
+    path.write_bytes(struct.pack("<4sIIddd", CKPT_MAGIC, 1, 0, 0.01, 1e-5, 0.9) + b"\0" * 4)
+    with pytest.raises(CorruptRecord) as err:
+        read_checkpoint(path)
+    assert err.value.offset == 8  # the d field
+
+
+def _trained_params(d: int, seed: int):
+    """Parameters with non-identity BatchNorm state, as after training."""
+    p = init_params(d, seed=seed, bn_momentum=0.5)
+    rng = CounterRng(seed, stream=52)
+    p.bn_gamma[:] = 1.0 + 0.1 * rng.normal(NUM_LAYERS * d).reshape(NUM_LAYERS, d)
+    p.bn_beta[:] = 0.1 * rng.normal(NUM_LAYERS * d).reshape(NUM_LAYERS, d)
+    forward_train(p, rng.normal(6 * d).reshape(6, d))
+    return p
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+def test_checkpoint_round_trip_and_truncation_property(tmp_path_factory, d, seed, data):
+    p = _trained_params(d, seed)
+    path = tmp_path_factory.mktemp("ckpt") / "m.eum"
+    write_checkpoint(path, p)
+    q = read_checkpoint(path)
+    assert np.array_equal(q.flat, p.flat.astype(np.float32).astype(np.float64))
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(EumError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_with_stored_bias_matches_old_formula(tmp_path):
+    """An EUM1 file whose b slot is nonzero, as older writers produced:
+    reading folds b into running_mean, and inference equals the
+    x W^T + b formula evaluated on the stored arrays."""
+    d, slope, eps = 3, 0.01, 1e-5
+    rng = CounterRng(4, stream=53)
+    layers = []
+    for _ in range(NUM_LAYERS):
+        w = rng.normal(d * d).reshape(d, d)
+        b = rng.normal(d)
+        gamma = 1.0 + 0.1 * rng.normal(d)
+        beta = 0.1 * rng.normal(d)
+        mean = 0.2 * rng.normal(d)
+        var = 1.0 + 0.1 * rng.u01(d)
+        arrays = (w, b, gamma, beta, mean, var)
+        layers.append([a.astype(np.float32).astype(np.float64) for a in arrays])
+    body = np.concatenate([a.ravel() for arrs in layers for a in arrs])
+    raw = struct.pack("<4sIIddd", CKPT_MAGIC, 1, d, slope, eps, 0.9) + body.astype("<f4").tobytes()
+    path = tmp_path / "old.eum"
+    path.write_bytes(raw)
+
+    batch = rng.normal(5 * d).reshape(5, d)
+    h = batch
+    for i, (w, b, gamma, beta, mean, var) in enumerate(layers):
+        z = h @ w.T + b
+        h = gamma * (z - mean) / np.sqrt(var + eps) + beta
+        if i < NUM_LAYERS - 1:
+            h = np.where(h > 0, h, slope * h)
+    got = forward_infer(read_checkpoint(path), batch)
+    assert np.max(np.abs(got - h)) < 1e-12
 
 
 def test_dataset_filters(tiny_dataset):

@@ -13,6 +13,7 @@ from eum.model import (
     forward_train,
     init_params,
     sgd_step,
+    trainable_size,
 )
 from eum.rng import CounterRng
 from oracles import fd_gradient, rel_err
@@ -23,7 +24,6 @@ def test_init_params_shapes_and_identity_batchnorm():
     assert p.d == 12 and len(p.weights) == NUM_LAYERS == 4
     for i in range(NUM_LAYERS):
         assert p.weights[i].shape == (12, 12)
-        assert np.array_equal(p.biases[i], np.zeros(12))
         assert np.array_equal(p.bn_gamma[i], np.ones(12))
         assert np.array_equal(p.bn_beta[i], np.zeros(12))
         assert np.array_equal(p.bn_running_mean[i], np.zeros(12))
@@ -97,13 +97,11 @@ def test_forward_shape_validation():
 def test_forward_infer_is_pure_and_uses_running_stats():
     p = init_params(5, seed=9)
     batch = CounterRng(4, stream=3).normal(20).reshape(4, 5)
-    before = [arr.copy() for arr in p.bn_running_mean + p.bn_running_var]
+    before = p.flat.copy()
     out1 = forward_infer(p, batch)
     out2 = forward_infer(p, batch)
-    after = p.bn_running_mean + p.bn_running_var
     assert np.array_equal(out1, out2)
-    for b, a in zip(before, after):
-        assert np.array_equal(b, a)
+    assert np.array_equal(p.flat, before)
     # single row is allowed in inference mode
     assert forward_infer(p, batch[:1]).shape == (1, 5)
 
@@ -140,10 +138,6 @@ def test_backward_matches_finite_differences():
             (p.bn_beta[i], grads.bn_beta[i]),
         ):
             worst = max(worst, rel_err(g, fd_gradient(lambda _: loss(), arr)))
-        # every FC feeds a BatchNorm that subtracts the batch mean, so bias
-        # gradients are identically zero; finite differences would only
-        # measure rounding noise there
-        assert np.max(np.abs(grads.biases[i])) < 1e-12
     worst = max(worst, rel_err(grads.input_grad, fd_gradient(lambda _: loss(), batch)))
     assert worst < 1e-4, f"max relative error {worst:g}"
 
@@ -154,38 +148,46 @@ def test_backward_input_grad_shape_and_cache_reuse():
     _, cache = forward_train(p, batch)
     g = backward(p, cache, np.ones((3, 5)))
     assert g.input_grad.shape == (3, 5)
-    assert all(len(lst) == NUM_LAYERS for lst in (g.weights, g.biases, g.bn_gamma, g.bn_beta))
+    assert g.flat.shape == (trainable_size(5),)
+    assert g.weights.shape == (NUM_LAYERS, 5, 5)
+    assert g.bn_gamma.shape == g.bn_beta.shape == (NUM_LAYERS, 5)
 
 
 def test_sgd_step_updates_in_place():
     p = init_params(4, seed=8)
-    w0 = [w.copy() for w in p.weights]
-    g = ParamGrads(
-        weights=[np.full((4, 4), 2.0) for _ in range(NUM_LAYERS)],
-        biases=[np.zeros(4) for _ in range(NUM_LAYERS)],
-        bn_gamma=[np.ones(4) for _ in range(NUM_LAYERS)],
-        bn_beta=[np.full(4, -1.0) for _ in range(NUM_LAYERS)],
-        input_grad=np.zeros((1, 4)),
-    )
+    w0 = p.weights.copy()
+    stats0 = p.flat[trainable_size(4):].copy()
+    g = ParamGrads(4, np.empty(trainable_size(4)))
+    g.weights[:] = 2.0
+    g.bn_gamma[:] = 1.0
+    g.bn_beta[:] = -1.0
     out = sgd_step(p, g, lr=0.5)
     assert out is p
     for i in range(NUM_LAYERS):
         assert np.allclose(p.weights[i], w0[i] - 1.0, atol=1e-15)
         assert np.allclose(p.bn_gamma[i], 0.5, atol=1e-15)
         assert np.allclose(p.bn_beta[i], 0.5, atol=1e-15)
+    assert np.array_equal(p.flat[trainable_size(4):], stats0)  # running stats untouched
 
 
 def test_sgd_step_shape_mismatch():
     p = init_params(4, seed=8)
-    g = ParamGrads(
-        weights=[np.zeros((3, 3)) for _ in range(NUM_LAYERS)],
-        biases=[np.zeros(3) for _ in range(NUM_LAYERS)],
-        bn_gamma=[np.zeros(3) for _ in range(NUM_LAYERS)],
-        bn_beta=[np.zeros(3) for _ in range(NUM_LAYERS)],
-        input_grad=np.zeros((1, 3)),
-    )
+    g = ParamGrads(3, np.zeros(trainable_size(3)))
     with pytest.raises(ShapeMismatch):
         sgd_step(p, g, lr=0.1)
+
+
+def test_named_views_write_the_buffer():
+    d = 3
+    p = init_params(d, seed=1)
+    for name in ("weights", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var"):
+        assert np.shares_memory(getattr(p, name), p.flat), name
+    p.bn_gamma[2] = 7.0
+    p.bn_running_mean[1] = -2.0
+    n_w = NUM_LAYERS * d * d
+    assert np.array_equal(p.flat[n_w + 2 * d:n_w + 3 * d], np.full(d, 7.0))
+    mean_start = n_w + 2 * NUM_LAYERS * d
+    assert np.array_equal(p.flat[mean_start + d:mean_start + 2 * d], np.full(d, -2.0))
 
 
 def test_params_copy_is_deep():
@@ -195,3 +197,4 @@ def test_params_copy_is_deep():
     q.bn_running_mean[1][2] = 5.0
     assert p.weights[0][0, 0] != q.weights[0][0, 0]
     assert p.bn_running_mean[1][2] == 0.0
+    assert not np.shares_memory(p.flat, q.flat)

@@ -1,17 +1,11 @@
-"""Vector primitives: normalization, distances, cosine."""
+"""Vector primitives: single-vector and row-wise normalization."""
 
 import numpy as np
 import pytest
 
-from eum.errors import DimensionMismatch, EmptyBatch, ZeroVector
+from eum.errors import ZeroVector
 from eum.rng import CounterRng
-from eum.vecmath import (
-    batch_mean,
-    cosine_similarity,
-    l2_normalize,
-    normalize_rows,
-    sq_euclid,
-)
+from eum.vecmath import l2_normalize, normalize_rows
 
 
 def test_l2_normalize_unit_norm_and_direction():
@@ -44,44 +38,6 @@ def test_normalize_rows_reports_bad_row():
     m[1] = 0.0
     with pytest.raises(ZeroVector, match="row 1"):
         normalize_rows(m)
-
-
-def test_sq_euclid_hand_values():
-    assert sq_euclid([1.0, 0.0], [0.0, 1.0]) == 2.0
-    assert sq_euclid([1.0, 0.0], [1.0, 0.0]) == 0.0
-    with pytest.raises(DimensionMismatch):
-        sq_euclid([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_sq_euclid_equals_two_minus_two_cosine_on_units():
-    for seed in range(20):
-        rng = CounterRng(seed, stream=3)
-        x = l2_normalize(rng.normal(16))
-        y = l2_normalize(rng.normal(16))
-        lhs = sq_euclid(x, y)
-        rhs = 2.0 - 2.0 * cosine_similarity(x, y)
-        assert abs(lhs - rhs) < 1e-12
-        assert 0.0 <= lhs <= 4.0 + 1e-12
-
-
-def test_cosine_similarity_properties():
-    assert abs(cosine_similarity([1.0, 0.0], [0.0, 2.0])) < 1e-15
-    assert abs(cosine_similarity([2.0, 0.0], [5.0, 0.0]) - 1.0) < 1e-15
-    assert abs(cosine_similarity([1.0, 1.0], [-2.0, -2.0]) + 1.0) < 1e-15
-    with pytest.raises(ZeroVector):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    for seed in range(20):
-        rng = CounterRng(seed, stream=4)
-        x, y = rng.normal(8), rng.normal(8)
-        c = cosine_similarity(x, y)
-        assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-        assert abs(c - cosine_similarity(y, x)) < 1e-15
-
-
-def test_batch_mean():
-    assert batch_mean([1.0, 2.0, 3.0]) == 2.0
-    with pytest.raises(EmptyBatch):
-        batch_mean([])
 
 
 def test_float64_promotion():
