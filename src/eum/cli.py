@@ -161,7 +161,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", rep.as_dict())
-    points, _ = roc(scores)
+    points = roc(scores)
     roc_lines = ["fmr,tpr"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in points]
     (out_dir / "roc.csv").write_text("\n".join(roc_lines) + "\n")
     _write_manifest(

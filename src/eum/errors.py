@@ -78,8 +78,9 @@ class VersionUnsupported(EumError):
 
 
 class CorruptRecord(EumError):
-    """File body is malformed; carries the byte offset of the bad record."""
+    """File body is malformed; .offset locates the bad record: its byte
+    offset in a binary file, its line number in a CSV file."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message)
         self.offset = offset

@@ -6,8 +6,9 @@ Checkpoints: magic ``EUM1``, u32 version (=1), u32 d, f64 leaky slope,
 f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b, gamma,
 beta, running_mean, running_var, all f32. Everything little-endian. The
 model has no b: it is written as zeros, and a stored b is folded into
-running_mean on read. Malformed files raise CorruptRecord with the byte
-offset of the first bad record (for CSV, its line number).
+running_mean on read. Malformed files, NaN or Inf values included, raise
+CorruptRecord with the byte offset of the first bad record or layer (for
+CSV, its line number).
 
 Vectors are float64 in memory and f32 on disk; a write/read round trip is
 lossless at 32-bit precision.
@@ -130,6 +131,10 @@ def _as_dataset(records) -> Dataset:
     return Dataset.from_records(records)
 
 
+def _corrupt(path, what: str, offset: int) -> CorruptRecord:
+    return CorruptRecord(f"{path}: {what} (byte offset {offset})", offset)
+
+
 def write_embeddings(path, records) -> None:
     ds = _as_dataset(records)
     arr = np.empty(len(ds), dtype=_record_dtype(ds.d))
@@ -167,10 +172,7 @@ def read_embeddings(path) -> Dataset:
     if len(body) != expected:
         whole = min(len(body), expected) // dtype.itemsize
         offset = _EMB_HEADER.size + whole * dtype.itemsize
-        raise CorruptRecord(
-            f"{path}: body holds {len(body)} bytes, header promises {expected}",
-            offset=offset,
-        )
+        raise _corrupt(path, f"body holds {len(body)} bytes, header promises {expected}", offset)
     arr = np.frombuffer(body, dtype=dtype)
     for bad, what in (
         (arr["split"] >= len(SPLIT_NAMES), "an unknown split code"),
@@ -178,10 +180,7 @@ def read_embeddings(path) -> Dataset:
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise CorruptRecord(
-                f"{path}: record {i} has {what}",
-                offset=_EMB_HEADER.size + i * dtype.itemsize,
-            )
+            raise _corrupt(path, f"record {i} has {what}", _EMB_HEADER.size + i * dtype.itemsize)
     return Dataset(
         identity=arr["identity"].astype(np.int64),
         sample=arr["sample"].astype(np.int64),
@@ -221,7 +220,7 @@ def import_csv(path) -> Dataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[:4] != ["identity", "sample", "masked", "split"]:
-                raise CorruptRecord(f"{path}: unrecognized CSV header {header!r}", offset=0)
+                raise CorruptRecord(f"{path}: line 1: unrecognized CSV header {header!r}", 1)
             rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -236,6 +235,8 @@ def import_csv(path) -> Dataset:
             masked.append(bool(int(row[2])))
             split.append(SPLIT_CODES[row[3]])
             vectors.append([float(v) for v in row[4:]])
+            if not np.isfinite(vectors[-1]).all():
+                raise ValueError("non-finite vector")
         except (ValueError, KeyError, IndexError) as exc:
             raise CorruptRecord(f"{path}: line {lineno}: {exc}", offset=lineno) from exc
     return Dataset(identity, sample, masked, split, np.asarray(vectors))
@@ -278,20 +279,23 @@ def read_checkpoint(path) -> EumParameters:
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
     if d < 1:
-        raise CorruptRecord(f"{path}: dimension {d}", offset=8)
+        raise _corrupt(path, f"dimension {d}", 8)
 
     layer_bytes = (d * d + 5 * d) * 4
     body = len(raw) - _CKPT_HEADER.size
     expected = NUM_LAYERS * layer_bytes
     if body != expected:
         whole = min(body, expected) // layer_bytes
-        raise CorruptRecord(
-            f"{path}: body holds {body} bytes, d={d} needs {expected}",
-            offset=_CKPT_HEADER.size + whole * layer_bytes,
-        )
-    layers = np.frombuffer(raw, dtype="<f4", offset=_CKPT_HEADER.size).astype(np.float64)
+        offset = _CKPT_HEADER.size + whole * layer_bytes
+        raise _corrupt(path, f"body holds {body} bytes, d={d} needs {expected}", offset)
+    layers = np.frombuffer(raw, dtype="<f4", offset=_CKPT_HEADER.size).reshape(NUM_LAYERS, -1)
+    bad = ~np.isfinite(layers).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        offset = _CKPT_HEADER.size + i * layer_bytes
+        raise _corrupt(path, f"layer {i} has a non-finite value", offset)
     w, b, gamma, beta, mean, var = np.split(
-        layers.reshape(NUM_LAYERS, -1), d * d + d * np.arange(5), axis=1
+        layers.astype(np.float64), d * d + d * np.arange(5), axis=1
     )
     # z + b - mean == z - (mean - b): folding a stored bias into the running
     # mean gives the same inference output

@@ -5,14 +5,16 @@ classifies a pair as a match iff score >= t, so FNMR(t) is the fraction of
 genuine scores below t and FMR(t) the fraction of imposter scores at or
 above t.
 
-Every rate is an integer count divided by the population size exactly once,
-which keeps results bit-identical to an exhaustive threshold-sweep done with
-the same convention.
+A ScoreSet sweeps its thresholds once, and EER, FNMR@FMR, AUC and the ROC
+all read that sweep's integer counts. Every rate is a count divided by the
+population size exactly once, which keeps results bit-identical to an
+exhaustive threshold-sweep done with the same convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +30,30 @@ from .vecmath import normalize_rows
 
 @dataclass
 class ScoreSet:
+    """Genuine and imposter scores, both non-empty; read-only once built."""
+
     genuine: np.ndarray
     imposter: np.ndarray
 
     def __post_init__(self):
         self.genuine = np.asarray(self.genuine, dtype=np.float64).ravel()
         self.imposter = np.asarray(self.imposter, dtype=np.float64).ravel()
+        if self.genuine.size == 0 or self.imposter.size == 0:
+            raise EmptyScores(
+                f"need both populations, got {self.genuine.size} genuine / "
+                f"{self.imposter.size} imposter"
+            )
+
+    @cached_property
+    def sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thresholds t ascending, #genuine < t, #imposter < t) over every
+        distinct score plus -inf and +inf; computed once, on first use."""
+        gen = np.sort(self.genuine)
+        imp = np.sort(self.imposter)
+        distinct = np.unique(np.concatenate([gen, imp]))
+        thresholds = np.concatenate([[-np.inf], distinct, [np.inf]])
+        # side="left" counts the scores strictly below each threshold
+        return thresholds, np.searchsorted(gen, thresholds), np.searchsorted(imp, thresholds)
 
 
 @dataclass
@@ -50,42 +70,14 @@ class VerificationReport:
     n_imposter: int
 
     def as_dict(self) -> dict:
-        return {
-            "eer": self.eer,
-            "eer_threshold": self.eer_threshold,
-            "fmr100": self.fmr100,
-            "fmr1000": self.fmr1000,
-            "g_mean": self.g_mean,
-            "i_mean": self.i_mean,
-            "fdr": self.fdr,
-            "auc": self.auc,
-            "n_genuine": self.n_genuine,
-            "n_imposter": self.n_imposter,
-        }
+        return asdict(self)
 
 
-def _require_nonempty(scores: ScoreSet) -> None:
-    if scores.genuine.size == 0 or scores.imposter.size == 0:
-        raise EmptyScores(
-            f"need both populations, got {scores.genuine.size} genuine / "
-            f"{scores.imposter.size} imposter"
-        )
-
-
-def _sweep(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thresholds, fnmr, fmr) over all distinct observed scores plus +-inf."""
-    gen = np.sort(scores.genuine)
-    imp = np.sort(scores.imposter)
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([gen, imp])), [np.inf]]
-    )
-    n_gen = gen.size
-    n_imp = imp.size
-    below_gen = np.searchsorted(gen, thresholds, side="left")  # genuine < t
-    below_imp = np.searchsorted(imp, thresholds, side="left")  # imposter < t
-    fnmr = below_gen / n_gen
-    fmr = (n_imp - below_imp) / n_imp
-    return thresholds, fnmr, fmr
+def _rates(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
+    """(fnmr, fmr) at each threshold of the sweep."""
+    _, below_gen, below_imp = scores.sweep
+    n_imp = scores.imposter.size
+    return below_gen / scores.genuine.size, (n_imp - below_imp) / n_imp
 
 
 def eer(scores: ScoreSet) -> tuple[float, float]:
@@ -94,25 +86,22 @@ def eer(scores: ScoreSet) -> tuple[float, float]:
     Over the sweep, picks the threshold minimizing |FMR - FNMR| (the lowest
     one on ties) and reports the midpoint (FMR + FNMR) / 2 there.
     """
-    _require_nonempty(scores)
-    thresholds, fnmr, fmr = _sweep(scores)
+    fnmr, fmr = _rates(scores)
     i = int(np.argmin(np.abs(fmr - fnmr)))  # first occurrence = lowest t
-    return (fmr[i] + fnmr[i]) / 2.0, float(thresholds[i])
+    return (fmr[i] + fnmr[i]) / 2.0, float(scores.sweep[0][i])
 
 
 def fnmr_at_fmr(scores: ScoreSet, fmr_ceiling: float) -> float:
     """Lowest FNMR among thresholds whose FMR is within the ceiling."""
     if not 0.0 < fmr_ceiling < 1.0:
         raise ValueError(f"fmr ceiling must be in (0, 1), got {fmr_ceiling}")
-    _require_nonempty(scores)
-    _, fnmr, fmr = _sweep(scores)
+    fnmr, fmr = _rates(scores)
     # t = +inf always gives FMR 0, so the selection is never empty
     return float(np.min(fnmr[fmr <= fmr_ceiling]))
 
 
 def means(scores: ScoreSet) -> tuple[float, float]:
     """(mean genuine score, mean imposter score)."""
-    _require_nonempty(scores)
     return float(np.mean(scores.genuine)), float(np.mean(scores.imposter))
 
 
@@ -121,7 +110,6 @@ def fdr(scores: ScoreSet) -> float:
 
     Population variances (divided by n); both-zero variance is an error.
     """
-    _require_nonempty(scores)
     g_mean, i_mean = means(scores)
     var_sum = float(np.var(scores.genuine) + np.var(scores.imposter))
     if var_sum == 0.0:
@@ -135,22 +123,28 @@ def auc(scores: ScoreSet) -> float:
     Computed from exact integer win/tie counts so the value is identical to
     a pair-by-pair enumeration.
     """
-    _require_nonempty(scores)
-    imp = np.sort(scores.imposter)
-    wins = int(np.sum(np.searchsorted(imp, scores.genuine, side="left")))
-    upto = int(np.sum(np.searchsorted(imp, scores.genuine, side="right")))
-    ties = upto - wins
-    return (wins + 0.5 * ties) / (scores.genuine.size * imp.size)
+    _, below_gen, below_imp = scores.sweep
+    # the genuine scores at each threshold beat the imposters below it and
+    # tie those at it
+    at_gen = np.diff(below_gen)
+    wins = int(np.dot(at_gen, below_imp[:-1]))
+    ties = int(np.dot(at_gen, np.diff(below_imp)))
+    return (wins + 0.5 * ties) / (scores.genuine.size * scores.imposter.size)
 
 
-def roc(scores: ScoreSet) -> tuple[np.ndarray, float]:
-    """ROC points (fmr, 1 - fnmr) sorted by fmr, plus the rank-statistic AUC."""
-    _require_nonempty(scores)
-    _, fnmr, fmr = _sweep(scores)
-    tpr = 1.0 - fnmr
-    order = np.lexsort((tpr, fmr))
-    points = np.column_stack([fmr[order], tpr[order]])
-    return points, auc(scores)
+def roc(scores: ScoreSet) -> np.ndarray:
+    """ROC corners (fmr, 1 - fnmr) sorted from (0, 0) to (1, 1), each once.
+
+    A point inside a run of equal tpr lies on the segment between the run's
+    ends and is dropped, so the curve through the at most 2 * n_genuine + 2
+    corners is the full sweep's.
+    """
+    fnmr, fmr = _rates(scores)
+    # from the highest threshold down, skipping -inf (it repeats (1, 1))
+    fmr, tpr = fmr[:0:-1], 1.0 - fnmr[:0:-1]
+    steps = np.diff(tpr) != 0
+    corner = np.concatenate([[True], steps]) | np.concatenate([steps, [True]])
+    return np.column_stack([fmr[corner], tpr[corner]])
 
 
 def report(scores: ScoreSet) -> VerificationReport:

@@ -89,6 +89,19 @@ def oracle_roc_points(genuine, imposter) -> set[tuple[float, float]]:
     return {(fmr, 1.0 - fnmr) for _, fnmr, fmr in rate_pairs(genuine, imposter)}
 
 
+def oracle_roc_corners(genuine, imposter) -> list[tuple[float, float]]:
+    """The sorted operating points minus the interior points of each run
+    of equal tpr, which lie on the segment between the run's ends."""
+    points = sorted(oracle_roc_points(genuine, imposter))
+    corners = []
+    for k, (fmr, tpr) in enumerate(points):
+        first = k == 0 or points[k - 1][1] != tpr
+        last = k == len(points) - 1 or points[k + 1][1] != tpr
+        if first or last:
+            corners.append((fmr, tpr))
+    return corners
+
+
 def oracle_fdr(genuine, imposter) -> float:
     def mean(xs):
         return sum(xs) / len(xs)

@@ -137,9 +137,9 @@ def test_eval_report_contract(workdir, data_file, model_dir):
     assert rep["n_genuine"] == 20 and rep["n_imposter"] == 380
     roc_lines = (out / "roc.csv").read_text().splitlines()
     assert roc_lines[0] == "fmr,tpr"
-    assert len(roc_lines) >= 3
-    first = roc_lines[1].split(",")
-    assert 0.0 <= float(first[0]) <= 1.0 and 0.0 <= float(first[1]) <= 1.0
+    assert 3 <= len(roc_lines) <= 2 * rep["n_genuine"] + 3
+    assert roc_lines[1] == "0.0,0.0" and roc_lines[-1] == "1.0,1.0"
+    assert len(set(roc_lines)) == len(roc_lines)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["setting"] == "fm" and manifest["apply_to"] == "masked"
 

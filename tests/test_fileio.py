@@ -183,16 +183,23 @@ def test_csv_corruption(tmp_path):
 
 
 def test_csv_ragged_row_names_its_line(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text(
-        "identity,sample,masked,split,e0,e1\n"
-        "1,0,0,train,0.5,0.25\n"
-        "1,1,0,train,0.5,0.25\n"
-        "2,0,1,val,0.5\n"
-    )
-    with pytest.raises(CorruptRecord, match="line 4: 5 fields, header has 6") as err:
-        import_csv(path)
-    assert err.value.offset == 4
+    path = tmp_path / "bad_row.csv"
+    for row, reason in (
+        ("2,0,1,val,0.5", "5 fields, header has 6"),
+        ("2,0,1,val,nan,0.5", "non-finite vector"),
+        ("2,0,1,val,0.5,inf", "non-finite vector"),
+        ("2,0,1,val,-inf,0.5", "non-finite vector"),
+    ):
+        path.write_text(
+            "identity,sample,masked,split,e0,e1\n"
+            "1,0,0,train,0.5,0.25\n"
+            "1,1,0,train,0.5,0.25\n"
+            f"{row}\n"
+        )
+        # the line is named once, and no byte offset is claimed
+        with pytest.raises(CorruptRecord, match=f"bad_row.csv: line 4: {reason}$") as err:
+            import_csv(path)
+        assert err.value.offset == 4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -265,6 +272,22 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(BadMagic):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_layer_offset(tmp_path, bad):
+    d = 4
+    header = struct.calcsize("<4sIIddd")
+    layer = (d * d + 5 * d) * 4
+    path = tmp_path / "nan.eum"
+    write_checkpoint(path, init_params(d, seed=2))
+    raw = bytearray(path.read_bytes())
+    # the gamma of layer 2, after its W and b
+    struct.pack_into("<f", raw, header + 2 * layer + (d * d + d) * 4, bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptRecord, match="layer 2 has a non-finite value") as err:
+        read_checkpoint(path)
+    assert err.value.offset == header + 2 * layer
 
 
 def test_checkpoint_oversized(tmp_path):

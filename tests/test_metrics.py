@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import eum.metrics
 from eum.errors import (
     DegenerateDistributions,
     DimensionMismatch,
@@ -29,6 +30,7 @@ from oracles import (
     oracle_eer,
     oracle_fdr,
     oracle_fnmr_at_fmr,
+    oracle_roc_corners,
     oracle_roc_points,
 )
 
@@ -153,11 +155,42 @@ def test_oracle_agreement_random_sets():
 def test_roc_points_match_oracle_and_bound_auc():
     for seed in range(25):
         s = random_scoreset(seed, max_size=40)
-        points, area = roc(s)
-        got = {(float(f), float(t)) for f, t in points}
-        assert got == oracle_roc_points(list(s.genuine), list(s.imposter))
-        assert points[0].tolist() <= points[-1].tolist()
-        assert 0.0 <= area <= 1.0
+        got = [(float(f), float(t)) for f, t in roc(s)]
+        assert got == oracle_roc_corners(list(s.genuine), list(s.imposter))
+        assert got[0] == (0.0, 0.0) and got[-1] == (1.0, 1.0)
+        assert len(got) <= 2 * s.genuine.size + 2
+        # every operating point lies on a horizontal segment between corners
+        for fmr, tpr in oracle_roc_points(list(s.genuine), list(s.imposter)):
+            run = [f for f, t in got if t == tpr]
+            assert min(run) <= fmr <= max(run)
+        assert 0.0 <= auc(s) <= 1.0
+
+
+def test_roc_corners_hand_values():
+    # tpr runs 0 -> 1/2 -> 1; the points inside each run are dropped
+    s = ScoreSet([0.9, 0.5], [0.8, 0.7, 0.6, 0.4, 0.3, 0.2])
+    assert roc(s).tolist() == [
+        [0.0, 0.0],
+        [0.0, 0.5],
+        [0.5, 0.5],
+        [0.5, 1.0],
+        [1.0, 1.0],
+    ]
+
+
+def test_report_and_roc_sweep_once(monkeypatch):
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(eum.metrics.np, "unique", counting_unique)
+    s = random_scoreset(11)
+    report(s)
+    roc(s)
+    assert len(calls) == 1
 
 
 def test_monotone_transform_invariance():
