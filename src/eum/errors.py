@@ -41,6 +41,10 @@ class MissingPairForIdentity(EumError):
     """An identity lacks the masked or unmasked records triplets require."""
 
 
+class NonFiniteLoss(EumError):
+    """A training iteration produced a NaN or infinite loss."""
+
+
 class EmptyValidationSet(EumError):
     """No validation triplets could be built."""
 

@@ -7,8 +7,9 @@ f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b, gamma,
 beta, running_mean, running_var, all f32. Everything little-endian. The
 model has no b: it is written as zeros, and a stored b is folded into
 running_mean on read. Malformed files, NaN or Inf values included, raise
-CorruptRecord with the byte offset of the first bad record or layer (for
-CSV, its line number).
+CorruptRecord with the byte offset of the first bad record, layer or header
+field (for CSV, its line number). A checkpoint header must hold a finite
+slope, an epsilon in (0, inf) and a momentum in [0, 1].
 
 Vectors are float64 in memory and f32 on disk; a write/read round trip is
 lossless at 32-bit precision.
@@ -17,6 +18,7 @@ lossless at 32-bit precision.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -221,6 +223,8 @@ def import_csv(path) -> Dataset:
             header = next(reader, None)
             if header is None or header[:4] != ["identity", "sample", "masked", "split"]:
                 raise CorruptRecord(f"{path}: line 1: unrecognized CSV header {header!r}", 1)
+            if len(header) == 4:
+                raise CorruptRecord(f"{path}: line 1: CSV header has no vector column", 1)
             rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -239,7 +243,8 @@ def import_csv(path) -> Dataset:
                 raise ValueError("non-finite vector")
         except (ValueError, KeyError, IndexError) as exc:
             raise CorruptRecord(f"{path}: line {lineno}: {exc}", offset=lineno) from exc
-    return Dataset(identity, sample, masked, split, np.asarray(vectors))
+    d = len(header) - 4  # also the shape of a file that holds no rows
+    return Dataset(identity, sample, masked, split, np.reshape(vectors, (len(rows), d)))
 
 
 def write_checkpoint(path, params: EumParameters) -> None:
@@ -280,6 +285,12 @@ def read_checkpoint(path) -> EumParameters:
         raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
     if d < 1:
         raise _corrupt(path, f"dimension {d}", 8)
+    if not math.isfinite(slope):
+        raise _corrupt(path, f"leaky slope {slope!r}", 12)
+    if not 0.0 < epsilon < math.inf:
+        raise _corrupt(path, f"bn epsilon {epsilon!r}", 20)
+    if not 0.0 <= momentum <= 1.0:
+        raise _corrupt(path, f"bn momentum {momentum!r}", 28)
 
     layer_bytes = (d * d + 5 * d) * 4
     body = len(raw) - _CKPT_HEADER.size

@@ -98,7 +98,7 @@ def compute_distances(anchor_out, positives, negatives) -> DistanceTriple:
     units = []
     norms = []
     for name, m in (("anchor", a), ("positive", p), ("negative", g)):
-        rn = np.linalg.norm(m, axis=1)
+        rn = np.sqrt(np.add.reduce(m * m, axis=1))
         if np.any(rn <= ZERO_NORM_THRESHOLD):
             bad = int(np.argmax(rn <= ZERO_NORM_THRESHOLD))
             raise ZeroVector(f"{name} row {bad} has norm {rn[bad]:g}")

@@ -8,6 +8,8 @@ triplet sequences — trajectory differences are attributable to the loss.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from .errors import (
     EmptyValidationSet,
     InsufficientIdentities,
     MissingPairForIdentity,
+    NonFiniteLoss,
 )
 from .fileio import Dataset
 from .losses import (
@@ -114,37 +117,45 @@ class TrainHistory:
 
 
 class _TripletIndex:
-    """Per-identity row indices of masked and unmasked records."""
+    """Row indices of masked and unmasked records, grouped by identity.
+
+    The layout is CSR: ``ids`` holds the sorted distinct identities, and
+    ``flat_masked`` every masked row, grouped by identity index and in row
+    order within each group. Identity ``k`` owns
+    ``flat_masked[masked_start[k]:masked_start[k] + masked_counts[k]]``,
+    and ``flat_masked_ident`` gives each entry's identity index, for
+    record-uniform anchor draws. ``flat_unmasked``, ``unmasked_start`` and
+    ``unmasked_counts`` lay out the unmasked rows the same way.
+    """
 
     def __init__(self, dataset: Dataset):
-        ids = np.unique(dataset.identity)
+        ids, ident = np.unique(dataset.identity, return_inverse=True)
         if len(ids) < 2:
             raise InsufficientIdentities(f"need >= 2 identities, got {len(ids)}")
+        masked = dataset.masked
+        m_counts = np.bincount(ident[masked], minlength=len(ids))
+        u_counts = np.bincount(ident[~masked], minlength=len(ids))
+        lacking = (m_counts == 0) | (u_counts == 0)
+        if lacking.any():
+            k = int(np.argmax(lacking))
+            raise MissingPairForIdentity(
+                f"identity {ids[k]}: {m_counts[k]} masked, {u_counts[k]} unmasked records"
+            )
+        rows = np.argsort(ident, kind="stable")
+        row_masked = masked[rows]
         self.ids = ids
-        self.masked_rows = []
-        self.unmasked_rows = []
-        for ident in ids:
-            mine = dataset.identity == ident
-            m = np.flatnonzero(mine & dataset.masked)
-            u = np.flatnonzero(mine & ~dataset.masked)
-            if len(m) == 0 or len(u) == 0:
-                raise MissingPairForIdentity(
-                    f"identity {ident}: {len(m)} masked, {len(u)} unmasked records"
-                )
-            self.masked_rows.append(m)
-            self.unmasked_rows.append(u)
-        self.masked_counts = np.array([len(m) for m in self.masked_rows])
-        self.unmasked_counts = np.array([len(u) for u in self.unmasked_rows])
-        # flat view of all masked rows with their identity index, for
-        # record-uniform anchor draws
-        self.flat_masked = np.concatenate(self.masked_rows)
-        self.flat_masked_ident = np.repeat(
-            np.arange(len(ids)), self.masked_counts
-        )
+        self.masked_counts = m_counts
+        self.unmasked_counts = u_counts
+        self.masked_start = np.cumsum(m_counts) - m_counts
+        self.unmasked_start = np.cumsum(u_counts) - u_counts
+        self.flat_masked = rows[row_masked]
+        self.flat_unmasked = rows[~row_masked]
+        self.flat_masked_ident = ident[self.flat_masked]
 
 
-def _bounded(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0,1) to integers below per-element bounds."""
+def _bounded(u: np.ndarray, bounds) -> np.ndarray:
+    """Map uniforms in [0,1) to integers below bounds (one bound, or one
+    per element)."""
     return np.minimum((u * bounds).astype(np.int64), bounds - 1)
 
 
@@ -155,25 +166,25 @@ def sample_triplets(
     index: _TripletIndex | None = None,
 ) -> TripletBatch:
     """One batch: record-uniform masked anchors, identity-matched unmasked
-    positives, masked negatives from a uniformly chosen other identity."""
-    idx = index if index is not None else _TripletIndex(dataset)
-    k = len(idx.ids)
+    positives, masked negatives from a uniformly chosen other identity.
 
-    a_flat = _bounded(rng.u01(batch_size), np.full(batch_size, len(idx.flat_masked)))
+    One draw of 4 x batch_size uniforms, used row by row for the anchor,
+    the positive, the other identity and the negative.
+    """
+    idx = index if index is not None else _TripletIndex(dataset)
+    u_anchor, u_pos, u_other, u_neg = rng.u01(4 * batch_size).reshape(4, batch_size)
+
+    a_flat = _bounded(u_anchor, len(idx.flat_masked))
     anchor_rows = idx.flat_masked[a_flat]
     anchor_ident = idx.flat_masked_ident[a_flat]
 
-    pos_pick = _bounded(rng.u01(batch_size), idx.unmasked_counts[anchor_ident])
-    pos_rows = np.array(
-        [idx.unmasked_rows[i][j] for i, j in zip(anchor_ident, pos_pick)]
-    )
+    pos_pick = _bounded(u_pos, idx.unmasked_counts[anchor_ident])
+    pos_rows = idx.flat_unmasked[idx.unmasked_start[anchor_ident] + pos_pick]
 
-    other = _bounded(rng.u01(batch_size), np.full(batch_size, k - 1))
+    other = _bounded(u_other, len(idx.ids) - 1)
     neg_ident = other + (other >= anchor_ident)  # skip the anchor identity
-    neg_pick = _bounded(rng.u01(batch_size), idx.masked_counts[neg_ident])
-    neg_rows = np.array(
-        [idx.masked_rows[i][j] for i, j in zip(neg_ident, neg_pick)]
-    )
+    neg_pick = _bounded(u_neg, idx.masked_counts[neg_ident])
+    neg_rows = idx.flat_masked[idx.masked_start[neg_ident] + neg_pick]
 
     return TripletBatch(
         anchors=dataset.vectors[anchor_rows],
@@ -188,8 +199,7 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
     """initial_lr divided by the drop factor once per passed drop point."""
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
-    drops = int(np.searchsorted(np.asarray(cfg.lr_drop_iters), iteration, side="right"))
-    return cfg.initial_lr / cfg.lr_drop_factor**drops
+    return cfg.initial_lr / cfg.lr_drop_factor ** bisect_right(cfg.lr_drop_iters, iteration)
 
 
 def _loss_fn(kind: str):
@@ -229,7 +239,8 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
     """SGD over sampled triplets; returns best-validation parameters.
 
     Stops at max_iters or after `patience` consecutive validations without
-    a strict improvement of at least 1e-6.
+    a strict improvement of at least 1e-6. A NaN or infinite training loss
+    raises NonFiniteLoss naming its iteration.
     """
     cfg.validate()
     params = init_params(
@@ -254,6 +265,10 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
         out, cache = forward_train(params, normalize_rows(batch.anchors))
         dist = compute_distances(out, batch.positives, batch.negatives)
         result = fn(dist, cfg.margin)
+        if not math.isfinite(result.loss):
+            raise NonFiniteLoss(
+                f"iteration {iteration}: {cfg.loss_kind} loss is {result.loss!r}"
+            )
         lr = lr_at(iteration, cfg)
         history.log(
             iteration,

@@ -29,7 +29,7 @@ def l2_normalize(v) -> np.ndarray:
 def normalize_rows(m) -> np.ndarray:
     """Normalize every row of an N x d matrix to unit norm."""
     m = _as_f64(m)
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         bad = int(np.argmax(norms <= ZERO_NORM_THRESHOLD))
         raise ZeroVector(f"row {bad} has norm {norms[bad]:g}")

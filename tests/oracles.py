@@ -5,6 +5,11 @@ exhaustive threshold sweeps, pairwise enumeration) so that agreement with
 the vectorized package code is meaningful. Rates are integer counts divided
 by population sizes, the same final arithmetic as the package, so agreement
 is exact, not approximate.
+
+The training-step references (a per-identity triplet sampler, the
+layer-by-layer forward and backward formulas) do the same floating-point
+operations as the package in the same order, one numpy call per formula,
+so the package must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -140,3 +145,102 @@ def rel_err(analytic, numeric, floor: float = 1e-8):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
+
+
+def oracle_sample_triplets(dataset, batch_size, rng):
+    """Triplet rows (anchor, positive, negative) and identity labels drawn
+    the per-identity way: one u01 call per role, one boolean pass per
+    identity to list its rows, one list lookup per triplet."""
+    import numpy as np
+
+    ids = sorted(set(int(i) for i in dataset.identity))
+    masked_rows, unmasked_rows = [], []
+    for ident in ids:
+        mine = dataset.identity == ident
+        masked_rows.append(np.flatnonzero(mine & dataset.masked))
+        unmasked_rows.append(np.flatnonzero(mine & ~dataset.masked))
+    flat_masked = [(k, r) for k, rows in enumerate(masked_rows) for r in rows]
+
+    def bounded(u, bound):
+        return min(int(u * bound), bound - 1)
+
+    u_anchor, u_pos, u_other, u_neg = (rng.u01(batch_size) for _ in range(4))
+    anchors, positives, negatives, anchor_ids, negative_ids = [], [], [], [], []
+    for j in range(batch_size):
+        k, row = flat_masked[bounded(u_anchor[j], len(flat_masked))]
+        pos = unmasked_rows[k][bounded(u_pos[j], len(unmasked_rows[k]))]
+        other = bounded(u_other[j], len(ids) - 1)
+        neg_k = other + (other >= k)
+        neg = masked_rows[neg_k][bounded(u_neg[j], len(masked_rows[neg_k]))]
+        anchors.append(row)
+        positives.append(pos)
+        negatives.append(neg)
+        anchor_ids.append(ids[k])
+        negative_ids.append(ids[neg_k])
+    return anchors, positives, negatives, anchor_ids, negative_ids
+
+
+def oracle_forward_train(params, batch):
+    """Training-mode forward pass, one layer at a time with every step
+    spelled out. Updates params' running statistics like forward_train and
+    returns the outputs and a dict of per-layer lists."""
+    import numpy as np
+
+    cache = {k: [] for k in ("fc_inputs", "pre_bn", "mean", "inv_std", "normalized", "post_bn")}
+    h = batch
+    mom = params.bn_momentum
+    for i in range(4):
+        cache["fc_inputs"].append(h)
+        z = h @ params.weights[i].T
+        mean = z.mean(axis=0)
+        var = np.mean((z - mean) ** 2, axis=0)
+        inv_std = 1.0 / np.sqrt(var + params.bn_epsilon)
+        normalized = (z - mean) * inv_std
+        post_bn = params.bn_gamma[i] * normalized + params.bn_beta[i]
+        params.bn_running_mean[i] = mom * params.bn_running_mean[i] + (1.0 - mom) * mean
+        params.bn_running_var[i] = mom * params.bn_running_var[i] + (1.0 - mom) * var
+        cache["pre_bn"].append(z)
+        cache["mean"].append(mean)
+        cache["inv_std"].append(inv_std)
+        cache["normalized"].append(normalized)
+        cache["post_bn"].append(post_bn)
+        h = np.where(post_bn > 0, post_bn, params.leaky_slope * post_bn) if i < 3 else post_bn
+    return h, cache
+
+
+def oracle_backward(params, cache, grad_outputs):
+    """Gradients of sum(outputs * grad_outputs) for oracle_forward_train's
+    cache: per-layer lists 'weights', 'gamma', 'beta' and 'input_grad'."""
+    import numpy as np
+
+    n = grad_outputs.shape[0]
+    grads = {"weights": [None] * 4, "gamma": [None] * 4, "beta": [None] * 4}
+    g = grad_outputs
+    for i in reversed(range(4)):
+        if i < 3:
+            g = g * np.where(cache["post_bn"][i] > 0, 1.0, params.leaky_slope)
+        x_norm = cache["normalized"][i]
+        grads["gamma"][i] = np.sum(g * x_norm, axis=0)
+        grads["beta"][i] = np.sum(g, axis=0)
+        dxn = g * params.bn_gamma[i]
+        dz = (cache["inv_std"][i] / n) * (
+            n * dxn - dxn.sum(axis=0) - x_norm * np.sum(dxn * x_norm, axis=0)
+        )
+        grads["weights"][i] = dz.T @ cache["fc_inputs"][i]
+        g = dz @ params.weights[i]
+    grads["input_grad"] = g
+    return grads
+
+
+def oracle_forward_infer(params, batch):
+    """Inference-mode forward pass with the np.where LeakyReLU."""
+    import numpy as np
+
+    h = batch
+    for i in range(4):
+        z = h @ params.weights[i].T
+        inv_std = 1.0 / np.sqrt(params.bn_running_var[i] + params.bn_epsilon)
+        post_bn = params.bn_gamma[i] * (z - params.bn_running_mean[i]) * inv_std
+        post_bn += params.bn_beta[i]
+        h = np.where(post_bn > 0, post_bn, params.leaky_slope * post_bn) if i < 3 else post_bn
+    return h

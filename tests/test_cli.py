@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from eum._threads import requested_threads
 from eum.cli import COMPARE_COLUMNS, main
-from eum.fileio import read_embeddings
+from eum.fileio import read_embeddings, write_embeddings
 
 GEN_ARGS = [
     "--identities", "20",
@@ -227,6 +228,17 @@ def test_missing_data_file_fails_cleanly(workdir, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_fails_before_writing(tmp_path, tiny_dataset, capsys):
+    data = tmp_path / "tiny.emb"
+    write_embeddings(data, tiny_dataset)
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", str(data), "--out", str(out), "--lr", "1e300"] + TRAIN_ARGS)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: iteration 1: srt loss is nan\n"
+    assert not out.exists()
 
 
 def test_bad_choice_exits_with_usage_error(workdir, data_file):

@@ -169,6 +169,11 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.vectors, ds.vectors)
     header = path.read_text().splitlines()[0]
     assert header == "identity,sample,masked,split," + ",".join(f"e{i}" for i in range(5))
+    # a file holding only its header is an empty dataset of the header's d
+    export_csv(path, ds.subset(np.zeros(len(ds), dtype=bool)))
+    assert path.read_text().splitlines() == [header]
+    back = import_csv(path)
+    assert len(back) == 0 and back.vectors.shape == (0, 5) and back.d == 5
 
 
 def test_csv_corruption(tmp_path):
@@ -180,6 +185,10 @@ def test_csv_corruption(tmp_path):
     path.write_text("who,knows\n")
     with pytest.raises(CorruptRecord):
         import_csv(path)
+    path.write_text("identity,sample,masked,split\n1,0,0,train\n")
+    with pytest.raises(CorruptRecord, match="line 1: CSV header has no vector column$") as err:
+        import_csv(path)
+    assert err.value.offset == 1
 
 
 def test_csv_ragged_row_names_its_line(tmp_path):
@@ -288,6 +297,30 @@ def test_checkpoint_non_finite_layer_offset(tmp_path, bad):
     with pytest.raises(CorruptRecord, match="layer 2 has a non-finite value") as err:
         read_checkpoint(path)
     assert err.value.offset == header + 2 * layer
+
+    # the header's hyper-parameters, each refused at its own offset
+    write_checkpoint(path, init_params(d, seed=2))
+    clean = path.read_bytes()
+    for offset, value, field in (
+        (12, bad, "leaky slope"),
+        (20, bad, "bn epsilon"),
+        (20, 0.0, "bn epsilon"),
+        (20, -1.0, "bn epsilon"),
+        (28, bad, "bn momentum"),
+        (28, -0.25, "bn momentum"),
+        (28, 1.5, "bn momentum"),
+    ):
+        raw = bytearray(clean)
+        struct.pack_into("<d", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptRecord, match=field) as err:
+            read_checkpoint(path)
+        assert err.value.offset == offset
+    for momentum in (0.0, 1.0):
+        raw = bytearray(clean)
+        struct.pack_into("<d", raw, 28, momentum)
+        path.write_bytes(bytes(raw))
+        assert read_checkpoint(path).bn_momentum == momentum
 
 
 def test_checkpoint_oversized(tmp_path):

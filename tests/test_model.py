@@ -16,7 +16,13 @@ from eum.model import (
     trainable_size,
 )
 from eum.rng import CounterRng
-from oracles import fd_gradient, rel_err
+from oracles import (
+    fd_gradient,
+    oracle_backward,
+    oracle_forward_infer,
+    oracle_forward_train,
+    rel_err,
+)
 
 
 def test_init_params_shapes_and_identity_batchnorm():
@@ -140,6 +146,45 @@ def test_backward_matches_finite_differences():
             worst = max(worst, rel_err(g, fd_gradient(lambda _: loss(), arr)))
     worst = max(worst, rel_err(grads.input_grad, fd_gradient(lambda _: loss(), batch)))
     assert worst < 1e-4, f"max relative error {worst:g}"
+
+
+@pytest.mark.parametrize(
+    "d,n,slope,momentum", [(16, 32, 0.01, 0.9), (5, 3, 0.2, 0.5), (9, 128, -0.7, 0.0)]
+)
+def test_forward_and_backward_match_reference_formulas(d, n, slope, momentum):
+    for seed in range(3):
+        p = init_params(d, seed=seed, leaky_slope=slope, bn_momentum=momentum)
+        rng = CounterRng(seed, stream=9)
+        p.bn_gamma[:] += 0.3 * rng.normal(NUM_LAYERS * d).reshape(NUM_LAYERS, d)
+        p.bn_beta[:] = 0.3 * rng.normal(NUM_LAYERS * d).reshape(NUM_LAYERS, d)
+        batch = rng.normal(n * d).reshape(n, d)
+        upstream = rng.normal(n * d).reshape(n, d)
+        ref = p.copy()
+
+        out, cache = forward_train(p, batch)
+        ref_out, ref_cache = oracle_forward_train(ref, batch)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(p.flat, ref.flat)  # running statistics included
+        for name, ref_name in (
+            ("fc_inputs", "fc_inputs"),
+            ("pre_bn", "pre_bn"),
+            ("bn_mean", "mean"),
+            ("bn_inv_std", "inv_std"),
+            ("bn_normalized", "normalized"),
+            ("post_bn", "post_bn"),
+        ):
+            for i in range(NUM_LAYERS):
+                assert np.array_equal(getattr(cache, name)[i], ref_cache[ref_name][i]), (name, i)
+
+        grads = backward(p, cache, upstream)
+        ref_grads = oracle_backward(ref, ref_cache, upstream)
+        for i in range(NUM_LAYERS):
+            assert np.array_equal(grads.weights[i], ref_grads["weights"][i])
+            assert np.array_equal(grads.bn_gamma[i], ref_grads["gamma"][i])
+            assert np.array_equal(grads.bn_beta[i], ref_grads["beta"][i])
+        assert np.array_equal(grads.input_grad, ref_grads["input_grad"])
+        # after the update the running statistics are no longer the init's
+        assert np.array_equal(forward_infer(p, batch), oracle_forward_infer(ref, batch))
 
 
 def test_backward_input_grad_shape_and_cache_reuse():

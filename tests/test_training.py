@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eum.errors import InsufficientIdentities, MissingPairForIdentity
+from eum.errors import InsufficientIdentities, MissingPairForIdentity, NonFiniteLoss
 from eum.fileio import Dataset
 from eum.model import init_params
 from eum.rng import CounterRng
@@ -17,6 +17,7 @@ from eum.training import (
     train,
     validate,
 )
+from oracles import oracle_sample_triplets
 
 
 def quick_config(**overrides) -> TrainConfig:
@@ -75,6 +76,57 @@ def test_sample_triplets_contracts(tiny_dataset):
         assert np.all(batch.identity != batch.negative_identity)
 
 
+def _scrambled_dataset() -> Dataset:
+    """Unsorted, non-contiguous identity labels with unequal per-identity
+    counts of masked and unmasked rows, interleaved in row order."""
+    labels = np.array([907, 3, 55, 12, 400, 8])
+    masked_per_id = np.array([1, 4, 2, 3, 5, 2])
+    unmasked_per_id = np.array([3, 1, 2, 5, 2, 4])
+    identity = np.concatenate(
+        [np.repeat(labels, masked_per_id), np.repeat(labels, unmasked_per_id)]
+    )
+    masked = np.arange(len(identity)) < masked_per_id.sum()
+    order = np.argsort(CounterRng(9, stream=33).u01(len(identity)))
+    n = len(identity)
+    return Dataset(
+        identity=identity[order],
+        sample=np.arange(n),
+        masked=masked[order],
+        split=np.zeros(n, dtype=np.uint8),
+        vectors=np.arange(n, dtype=np.float64)[:, None] + np.zeros((1, 3)),
+    )
+
+
+def test_sample_triplets_matches_per_identity_oracle():
+    # the row index is the vector, so equal vectors mean equal rows
+    ds = _scrambled_dataset()
+    for seed in range(8):
+        rng, ref_rng = CounterRng(seed, stream=31), CounterRng(seed, stream=31)
+        for _ in range(3):
+            batch = sample_triplets(ds, 33, rng)
+            a, p, n, a_ids, n_ids = oracle_sample_triplets(ds, 33, ref_rng)
+            assert np.array_equal(batch.anchors[:, 0], a)
+            assert np.array_equal(batch.positives[:, 0], p)
+            assert np.array_equal(batch.negatives[:, 0], n)
+            assert np.array_equal(batch.identity, a_ids)
+            assert np.array_equal(batch.negative_identity, n_ids)
+        # both consumed the same words, so later draws stay aligned
+        assert np.array_equal(rng.u64(1), ref_rng.u64(1))
+
+
+def test_sample_triplets_draws_uniforms_once(tiny_dataset, monkeypatch):
+    calls = []
+    real_u01 = CounterRng.u01
+
+    def counting_u01(rng, n):
+        calls.append(n)
+        return real_u01(rng, n)
+
+    monkeypatch.setattr(CounterRng, "u01", counting_u01)
+    sample_triplets(tiny_dataset.for_split("train"), 16, CounterRng(0, stream=31))
+    assert calls == [4 * 16]
+
+
 def test_sample_triplets_deterministic(tiny_dataset):
     a = sample_triplets(tiny_dataset, 16, CounterRng(7, stream=31))
     b = sample_triplets(tiny_dataset, 16, CounterRng(7, stream=31))
@@ -96,15 +148,17 @@ def test_sample_triplets_needs_two_identities():
 
 
 def test_sample_triplets_needs_both_kinds_per_identity():
-    vecs = CounterRng(1, stream=32).normal(4 * 6).reshape(4, 6)
+    vecs = CounterRng(1, stream=32).normal(6 * 6).reshape(6, 6)
     ds = Dataset(
-        identity=np.array([0, 0, 1, 1]),
-        sample=np.arange(4),
-        masked=np.array([True, False, False, False]),  # identity 1 has no masked rows
-        split=np.zeros(4, dtype=np.uint8),
+        identity=np.array([9, 9, 5, 5, 2, 2]),
+        sample=np.arange(6),
+        # identity 9 has no unmasked rows, identity 5 no masked rows: the
+        # first lacking identity in sorted order is named
+        masked=np.array([True, True, False, False, True, False]),
+        split=np.zeros(6, dtype=np.uint8),
         vectors=vecs,
     )
-    with pytest.raises(MissingPairForIdentity):
+    with pytest.raises(MissingPairForIdentity, match="^identity 5: 0 masked, 2 unmasked records$"):
         sample_triplets(ds, 4, CounterRng(0, stream=31))
 
 
@@ -137,6 +191,13 @@ def test_batch_sequence_is_loss_independent(tiny_dataset):
     assert hs.mean_d1[0] == ht.mean_d1[0]
     assert hs.mean_d2[0] == ht.mean_d2[0]
     assert hs.mean_d3[0] == ht.mean_d3[0]
+
+
+def test_non_finite_loss_names_its_iteration(tiny_dataset):
+    cfg = config_for_dataset(quick_config(initial_lr=1e300), tiny_dataset)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLoss, match=r"^iteration 1: srt loss is nan$"):
+            train(cfg, tiny_dataset)
 
 
 def test_history_csv_shape(tiny_dataset):
