@@ -26,7 +26,7 @@ from .fileio import (
 from .metrics import VerificationReport, compute_scores, report, roc
 from .model import EumParameters
 from .synth import SynthSpec, gen_dataset, phenomenon_report
-from .training import TrainConfig, TrainHistory, config_for_dataset, train
+from .training import LOSS_KINDS, TrainConfig, TrainHistory, train
 
 SETTINGS = ("ff", "fm", "mm")
 COMPARE_COLUMNS = "setting,variant,eer,fmr100,fmr1000,g_mean,i_mean,fdr,auc"
@@ -57,29 +57,14 @@ def select_pairing(dataset: Dataset, setting: str) -> tuple[Dataset, Dataset]:
     return refs, probes
 
 
-def run_eval(
-    dataset: Dataset,
-    setting: str,
-    model: EumParameters | None,
-    apply_to: str = "masked",
-) -> VerificationReport:
+def run_eval(dataset: Dataset, setting: str, model: EumParameters | None) -> VerificationReport:
     refs, probes = select_pairing(dataset, setting)
-    return report(compute_scores(refs, probes, eum=model, apply_to=apply_to))
+    return report(compute_scores(refs, probes, eum=model))
 
 
 def _report_csv_cells(rep: VerificationReport) -> str:
-    return ",".join(
-        repr(v)
-        for v in (
-            rep.eer,
-            rep.fmr100,
-            rep.fmr1000,
-            rep.g_mean,
-            rep.i_mean,
-            rep.fdr,
-            rep.auc,
-        )
-    )
+    """The metric columns of COMPARE_COLUMNS, named as VerificationReport fields."""
+    return ",".join(repr(getattr(rep, name)) for name in COMPARE_COLUMNS.split(",")[2:])
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -127,7 +112,7 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = read_embeddings(args.data)
-    cfg = config_for_dataset(_config_from_args(args), dataset)
+    cfg = _config_from_args(args)
     params, history = train(cfg, dataset)
 
     out_dir = Path(args.out)
@@ -155,7 +140,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = read_embeddings(args.data)
     model = read_checkpoint(args.model) if args.model else None
     refs, probes = select_pairing(dataset, args.setting)
-    scores = compute_scores(refs, probes, eum=model, apply_to=args.apply_to)
+    scores = compute_scores(refs, probes, eum=model)
     rep = report(scores)
 
     out_dir = Path(args.out)
@@ -171,7 +156,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "data": args.data,
             "setting": args.setting,
             "model": args.model,
-            "apply_to": args.apply_to,
             "outputs": ["report.json", "roc.csv"],
         },
     )
@@ -187,9 +171,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base_cfg = config_for_dataset(_config_from_args(args), dataset)
-    models: dict[str, EumParameters] = {}
-    for kind in ("triplet", "srt"):
+    base_cfg = _config_from_args(args)
+    models: dict[str, EumParameters | None] = {"baseline": None}
+    for kind in LOSS_KINDS:
         cfg = replace(base_cfg, loss_kind=kind)
         params, history = train(cfg, dataset)
         path = out_dir / f"model_{kind}.eum"
@@ -201,11 +185,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     baseline_ff = run_eval(dataset, "ff", None)
     lines = [f"# baseline ff eer={baseline_ff.eer!r}", COMPARE_COLUMNS]
     for setting in ("fm", "mm"):
-        for variant, model in (
-            ("baseline", None),
-            ("triplet", models["triplet"]),
-            ("srt", models["srt"]),
-        ):
+        for variant, model in models.items():
             rep = run_eval(dataset, setting, model)
             lines.append(f"{setting},{variant},{_report_csv_cells(rep)}")
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
@@ -230,7 +210,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     defaults = TrainConfig()
-    parser.add_argument("--loss", choices=("triplet", "srt"), default=defaults.loss_kind)
+    parser.add_argument("--loss", choices=LOSS_KINDS, default=defaults.loss_kind)
     parser.add_argument("--margin", type=float, default=defaults.margin)
     parser.add_argument("--batch-size", type=int, default=defaults.batch_size)
     parser.add_argument("--lr", type=float, default=defaults.initial_lr)
@@ -290,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--setting", choices=SETTINGS, required=True)
     p_eval.add_argument("--model", default=None, help="checkpoint to apply to masked records")
-    p_eval.add_argument("--apply-to", choices=("masked", "none"), default="masked")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser(

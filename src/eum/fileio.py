@@ -11,6 +11,8 @@ CorruptRecord with the byte offset of the first bad record, layer or header
 field (for CSV, its line number). A checkpoint header must hold a finite
 slope, an epsilon in (0, inf) and a momentum in [0, 1].
 
+A Dataset holds the records as columns (identity, sample, masked, split
+code, vectors); every reader returns one and every writer takes one.
 Vectors are float64 in memory and f32 on disk; a write/read round trip is
 lossless at 32-bit precision.
 """
@@ -20,8 +22,6 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,15 +57,6 @@ def _record_dtype(d: int) -> np.dtype:
     )
 
 
-@dataclass
-class EmbeddingRecord:
-    identity: int
-    sample: int
-    masked: bool
-    split: str
-    vector: np.ndarray
-
-
 class Dataset:
     """Columnar collection of embedding records."""
 
@@ -89,14 +80,14 @@ class Dataset:
     def d(self) -> int:
         return int(self.vectors.shape[1])
 
-    def subset(self, mask: np.ndarray, *, copy: bool = False) -> "Dataset":
-        pick = lambda a: a[mask].copy() if copy else a[mask]  # noqa: E731
+    def subset(self, mask: np.ndarray) -> "Dataset":
+        """The rows where mask is true, as copies."""
         return Dataset(
-            pick(self.identity),
-            pick(self.sample),
-            pick(self.masked),
-            pick(self.split),
-            pick(self.vectors),
+            self.identity[mask],
+            self.sample[mask],
+            self.masked[mask],
+            self.split[mask],
+            self.vectors[mask],
         )
 
     def for_split(self, name: str, masked: bool | None = None) -> "Dataset":
@@ -105,40 +96,12 @@ class Dataset:
             mask &= self.masked == masked
         return self.subset(mask)
 
-    def records(self) -> Iterator[EmbeddingRecord]:
-        for i in range(len(self)):
-            yield EmbeddingRecord(
-                identity=int(self.identity[i]),
-                sample=int(self.sample[i]),
-                masked=bool(self.masked[i]),
-                split=SPLIT_NAMES[self.split[i]],
-                vector=self.vectors[i].copy(),
-            )
-
-    @classmethod
-    def from_records(cls, records: Iterable[EmbeddingRecord]) -> "Dataset":
-        records = list(records)
-        return cls(
-            identity=[r.identity for r in records],
-            sample=[r.sample for r in records],
-            masked=[r.masked for r in records],
-            split=[SPLIT_CODES[r.split] for r in records],
-            vectors=np.stack([np.asarray(r.vector, dtype=np.float64) for r in records]),
-        )
-
-
-def _as_dataset(records) -> Dataset:
-    if isinstance(records, Dataset):
-        return records
-    return Dataset.from_records(records)
-
 
 def _corrupt(path, what: str, offset: int) -> CorruptRecord:
     return CorruptRecord(f"{path}: {what} (byte offset {offset})", offset)
 
 
-def write_embeddings(path, records) -> None:
-    ds = _as_dataset(records)
+def write_embeddings(path, ds: Dataset) -> None:
     arr = np.empty(len(ds), dtype=_record_dtype(ds.d))
     arr["identity"] = ds.identity
     arr["sample"] = ds.sample
@@ -192,9 +155,8 @@ def read_embeddings(path) -> Dataset:
     )
 
 
-def export_csv(path, records) -> None:
+def export_csv(path, ds: Dataset) -> None:
     """Header identity,sample,masked,split,e0..e{d-1}; masked as 0/1."""
-    ds = _as_dataset(records)
     try:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

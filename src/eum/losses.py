@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,17 +41,6 @@ class TripletBatch:
     identity: np.ndarray           # N, anchor == positive identity
     negative_identity: np.ndarray  # N
 
-    def check(self) -> None:
-        n = self.anchors.shape[0]
-        for name, arr in (("positives", self.positives), ("negatives", self.negatives)):
-            if arr.shape != self.anchors.shape:
-                raise DimensionMismatch(f"{name} shape {arr.shape} vs anchors {self.anchors.shape}")
-        if self.identity.shape != (n,) or self.negative_identity.shape != (n,):
-            raise DimensionMismatch("identity label shapes do not match batch size")
-        if np.any(self.identity == self.negative_identity):
-            bad = int(np.argmax(self.identity == self.negative_identity))
-            raise ValueError(f"row {bad}: negative shares the anchor identity")
-
 
 @dataclass
 class DistanceTriple:
@@ -74,6 +64,12 @@ class DistanceTriple:
     @property
     def n(self) -> int:
         return int(np.asarray(self.d1).shape[0])
+
+    @cached_property
+    def means(self) -> tuple[float, float, float]:
+        """Batch means of d1, d2 and d3, taken once for the SRT branch
+        decision, the swap term and the training log."""
+        return np.mean(self.d1), np.mean(self.d2), np.mean(self.d3)
 
 
 @dataclass
@@ -152,7 +148,8 @@ def srt_branch(dist: DistanceTriple) -> Branch:
     """TRIPLET iff mean(d2) < mean(d3); the boundary falls to SWAP."""
     if dist.n == 0:
         raise EmptyBatch("branch decision over empty batch")
-    return Branch.TRIPLET if float(np.mean(dist.d2)) < float(np.mean(dist.d3)) else Branch.SWAP
+    _, mean_d2, mean_d3 = dist.means
+    return Branch.TRIPLET if mean_d2 < mean_d3 else Branch.SWAP
 
 
 def srt_loss(dist: DistanceTriple, m: float) -> LossResult:
@@ -168,7 +165,7 @@ def srt_loss(dist: DistanceTriple, m: float) -> LossResult:
         return triplet_loss(dist, m)
 
     n = dist.n
-    mu3 = float(np.mean(dist.d3))
+    mu3 = float(dist.means[2])
     hinge = dist.d1 - mu3 + m
     active = hinge > 0
     loss = float(np.sum(np.maximum(hinge, 0.0)) / n)

@@ -165,21 +165,14 @@ def report(scores: ScoreSet) -> VerificationReport:
     )
 
 
-def compute_scores(
-    references,
-    probes,
-    eum: EumParameters | None = None,
-    apply_to: str = "masked",
-) -> ScoreSet:
+def compute_scores(references, probes, eum: EumParameters | None = None) -> ScoreSet:
     """Cosine-score every reference x probe pair and split by identity.
 
     references/probes expose .identity (n,), .masked (n, bool) and
-    .vectors (n, d). With a model and apply_to="masked", every record
-    flagged masked — on either side — is passed through the network before
-    scoring. apply_to="none" disables the model entirely.
+    .vectors (n, d). With a model, every record flagged masked — on either
+    side — is passed through the network before scoring; without one, the
+    raw embeddings are scored.
     """
-    if apply_to not in ("masked", "none"):
-        raise ValueError(f"apply_to must be 'masked' or 'none', got {apply_to!r}")
     if references.vectors.shape[0] == 0 or probes.vectors.shape[0] == 0:
         raise EmptySet(
             f"{references.vectors.shape[0]} references x "
@@ -193,7 +186,7 @@ def compute_scores(
 
     def side(vectors: np.ndarray, masked: np.ndarray) -> np.ndarray:
         v = np.asarray(vectors, dtype=np.float64)
-        if eum is not None and apply_to == "masked" and np.any(masked):
+        if eum is not None and np.any(masked):
             if eum.d != v.shape[1]:
                 raise DimensionMismatch(
                     f"model d {eum.d} vs embedding d {v.shape[1]}"

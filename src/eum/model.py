@@ -78,10 +78,7 @@ class EumParameters:
 class ForwardCache:
     """Everything the backward pass needs from one forward_train call."""
 
-    batch: np.ndarray
     fc_inputs: list[np.ndarray] = field(default_factory=list)   # input to each FC
-    pre_bn: list[np.ndarray] = field(default_factory=list)      # z = x W^T
-    bn_mean: list[np.ndarray] = field(default_factory=list)
     bn_inv_std: list[np.ndarray] = field(default_factory=list)  # 1/sqrt(var+eps)
     bn_normalized: list[np.ndarray] = field(default_factory=list)
     post_bn: list[np.ndarray] = field(default_factory=list)     # gamma*norm + beta
@@ -155,7 +152,7 @@ def forward_train(params: EumParameters, batch) -> tuple[np.ndarray, ForwardCach
     if n < 2:
         raise BatchTooSmall(f"training forward needs N >= 2, got {n}")
 
-    cache = ForwardCache(batch=batch)
+    cache = ForwardCache()
     # batch means, then population variances, one row per layer: the
     # running statistics take them in one update after the loop
     batch_stats = np.empty((2, NUM_LAYERS, params.d))
@@ -172,8 +169,6 @@ def forward_train(params: EumParameters, batch) -> tuple[np.ndarray, ForwardCach
         normalized = centered * inv_std
         post_bn = params.bn_gamma[i] * normalized + params.bn_beta[i]
 
-        cache.pre_bn.append(z)
-        cache.bn_mean.append(mean)
         cache.bn_inv_std.append(inv_std)
         cache.bn_normalized.append(normalized)
         cache.post_bn.append(post_bn)
@@ -215,7 +210,7 @@ def backward(params: EumParameters, cache: ForwardCache, grad_outputs) -> ParamG
     layer plus d(loss)/d(input batch) for diagnostics.
     """
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    if len(cache.pre_bn) != NUM_LAYERS:
+    if len(cache.fc_inputs) != NUM_LAYERS:
         raise CacheMismatch("cache does not hold all layers")
     if grad_outputs.shape != cache.post_bn[-1].shape:
         raise CacheMismatch(
@@ -224,7 +219,7 @@ def backward(params: EumParameters, cache: ForwardCache, grad_outputs) -> ParamG
     if cache.fc_inputs[0].shape[1] != params.d:
         raise CacheMismatch("cache produced for a different dimension")
 
-    n = cache.batch.shape[0]
+    n = grad_outputs.shape[0]
     grads = ParamGrads(params.d, np.empty(trainable_size(params.d)))
     dxn = np.empty((n, params.d))
     work = np.empty((n, params.d))

@@ -37,6 +37,12 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bounded(u: np.ndarray, bounds) -> np.ndarray:
+    """Map uniforms in [0,1) to integers below bounds (one bound, or one
+    per element)."""
+    return np.minimum((u * bounds).astype(np.int64), bounds - 1)
+
+
 def _mix64_int(x: int) -> int:
     """splitmix64 finalizer on a Python int (for scalar setup only)."""
     x &= _MASK64
@@ -84,4 +90,4 @@ class CounterRng:
         """Next n integers uniform on [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return np.minimum((self.u01(n) * bound).astype(np.int64), bound - 1)
+        return _bounded(self.u01(n), bound)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .model import (
     init_params,
     sgd_step,
 )
-from .rng import CounterRng
+from .rng import CounterRng, _bounded
 from .vecmath import normalize_rows
 
 _STREAM_BATCHES = 31
@@ -59,7 +59,6 @@ class TrainConfig:
     val_every: int = 500
     patience: int = 12
     seed: int = 0
-    d: int = 64
     leaky_slope: float = 0.01
     bn_epsilon: float = 1e-5
     bn_momentum: float = 0.9
@@ -153,12 +152,6 @@ class _TripletIndex:
         self.flat_masked_ident = ident[self.flat_masked]
 
 
-def _bounded(u: np.ndarray, bounds) -> np.ndarray:
-    """Map uniforms in [0,1) to integers below bounds (one bound, or one
-    per element)."""
-    return np.minimum((u * bounds).astype(np.int64), bounds - 1)
-
-
 def sample_triplets(
     dataset: Dataset,
     batch_size: int,
@@ -235,16 +228,19 @@ def build_val_batches(
     return [sample_triplets(val, cfg.batch_size, rng, index) for _ in range(n_batches)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHistory]:
     """SGD over sampled triplets; returns best-validation parameters.
 
     Stops at max_iters or after `patience` consecutive validations without
-    a strict improvement of at least 1e-6. A NaN or infinite training loss
-    raises NonFiniteLoss naming its iteration.
+    a strict improvement of at least 1e-6. The network's dimension is the
+    dataset's. A NaN or infinite training loss raises NonFiniteLoss naming
+    its iteration; numpy's overflow and invalid-value warnings on the way
+    there are silenced, so that error is the one report.
     """
     cfg.validate()
     params = init_params(
-        cfg.d, cfg.seed, cfg.leaky_slope, cfg.bn_epsilon, cfg.bn_momentum
+        dataset.d, cfg.seed, cfg.leaky_slope, cfg.bn_epsilon, cfg.bn_momentum
     )
     history = TrainHistory()
     if cfg.max_iters == 0:
@@ -270,15 +266,7 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
                 f"iteration {iteration}: {cfg.loss_kind} loss is {result.loss!r}"
             )
         lr = lr_at(iteration, cfg)
-        history.log(
-            iteration,
-            result.loss,
-            np.mean(dist.d1),
-            np.mean(dist.d2),
-            np.mean(dist.d3),
-            result.branch,
-            lr,
-        )
+        history.log(iteration, result.loss, *dist.means, result.branch, lr)
         grads = backward(params, cache, result.grad_anchor_out)
         sgd_step(params, grads, lr)
 
@@ -296,8 +284,3 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
                     break
 
     return (best_params if best_params is not None else params), history
-
-
-def config_for_dataset(cfg: TrainConfig, dataset: Dataset) -> TrainConfig:
-    """Copy of cfg with d taken from the dataset."""
-    return replace(cfg, d=dataset.d)

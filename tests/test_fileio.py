@@ -21,7 +21,6 @@ from eum.fileio import (
     SPLIT_CODES,
     SPLIT_NAMES,
     Dataset,
-    EmbeddingRecord,
     export_csv,
     import_csv,
     read_checkpoint,
@@ -60,20 +59,22 @@ def test_embeddings_round_trip(tmp_path):
 
 
 def test_embeddings_round_trip_from_records(tmp_path):
-    records = [
-        EmbeddingRecord(identity=3, sample=0, masked=False, split="train", vector=np.ones(4)),
-        EmbeddingRecord(identity=3, sample=1, masked=True, split="eval_ref", vector=np.arange(4.0)),
-        EmbeddingRecord(identity=4, sample=0, masked=False, split="val", vector=-np.ones(4)),
-    ]
+    # three hand-written records, one column at a time
+    ds = Dataset(
+        identity=[3, 3, 4],
+        sample=[0, 1, 0],
+        masked=[False, True, False],
+        split=[SPLIT_CODES[name] for name in ("train", "eval_ref", "val")],
+        vectors=[np.ones(4), np.arange(4.0), -np.ones(4)],
+    )
     path = tmp_path / "r.emb"
-    write_embeddings(path, records)
-    back = list(read_embeddings(path).records())
-    assert [(r.identity, r.sample, r.masked, r.split) for r in back] == [
-        (3, 0, False, "train"),
-        (3, 1, True, "eval_ref"),
-        (4, 0, False, "val"),
-    ]
-    assert np.array_equal(back[1].vector, np.arange(4.0))
+    write_embeddings(path, ds)
+    back = read_embeddings(path)
+    assert back.identity.tolist() == [3, 3, 4]
+    assert back.sample.tolist() == [0, 1, 0]
+    assert back.masked.tolist() == [False, True, False]
+    assert [SPLIT_NAMES[code] for code in back.split] == ["train", "eval_ref", "val"]
+    assert np.array_equal(back.vectors, [np.ones(4), np.arange(4.0), -np.ones(4)])
 
 
 def test_embedding_file_byte_layout(tmp_path):

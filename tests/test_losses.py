@@ -7,7 +7,6 @@ from eum.errors import DimensionMismatch, ZeroVector
 from eum.losses import (
     Branch,
     DistanceTriple,
-    TripletBatch,
     compute_distances,
     srt_branch,
     srt_loss,
@@ -190,29 +189,3 @@ def test_swap_gradient_ignores_negatives_beyond_their_mean_distance():
         done += 1
     assert done > 5, "random triples never exercised the swap branch"
 
-
-def test_triplet_batch_check():
-    ok = TripletBatch(
-        anchors=np.ones((2, 3)),
-        positives=np.ones((2, 3)),
-        negatives=np.ones((2, 3)),
-        identity=np.array([0, 1]),
-        negative_identity=np.array([1, 0]),
-    )
-    ok.check()
-    with pytest.raises(ValueError, match="row 1"):
-        TripletBatch(
-            anchors=np.ones((2, 3)),
-            positives=np.ones((2, 3)),
-            negatives=np.ones((2, 3)),
-            identity=np.array([0, 1]),
-            negative_identity=np.array([1, 1]),
-        ).check()
-    with pytest.raises(DimensionMismatch):
-        TripletBatch(
-            anchors=np.ones((2, 3)),
-            positives=np.ones((3, 3)),
-            negatives=np.ones((2, 3)),
-            identity=np.array([0, 1]),
-            negative_identity=np.array([1, 0]),
-        ).check()

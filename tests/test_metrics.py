@@ -257,10 +257,8 @@ def test_compute_scores_eum_switches():
     model = init_params(ds.d, seed=3)
     raw = compute_scores(refs, probes)
     with_none = compute_scores(refs, probes, eum=None)
-    off = compute_scores(refs, probes, eum=model, apply_to="none")
-    on = compute_scores(refs, probes, eum=model, apply_to="masked")
+    on = compute_scores(refs, probes, eum=model)
     assert np.array_equal(raw.genuine, with_none.genuine)
-    assert np.array_equal(raw.genuine, off.genuine)
     assert not np.allclose(raw.genuine, on.genuine)
     # masked probes are transformed, unmasked rows pass through untouched
     transformed = probes.vectors.copy()
@@ -286,8 +284,6 @@ def test_compute_scores_validation():
     ds = tiny_eval_dataset()
     refs = ds.subset(ds.masked)
     probes = ds.subset(~ds.masked)
-    with pytest.raises(ValueError):
-        compute_scores(refs, probes, apply_to="sometimes")
     with pytest.raises(EmptySet):
         compute_scores(refs.subset(np.zeros(len(refs), dtype=bool)), probes)
     with pytest.raises(DimensionMismatch):

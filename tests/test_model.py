@@ -69,7 +69,7 @@ def test_forward_train_batchnorm_statistics():
     assert out.shape == (6, 10)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-12
     assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-3
-    assert len(cache.pre_bn) == NUM_LAYERS
+    assert len(cache.post_bn) == NUM_LAYERS
 
 
 def test_forward_train_updates_running_stats_exactly():
@@ -78,8 +78,9 @@ def test_forward_train_updates_running_stats_exactly():
     batch = CounterRng(1, stream=2).normal(30).reshape(5, 6)
     _, cache = forward_train(p, batch)
     for i in range(NUM_LAYERS):
-        batch_var = cache.pre_bn[i].var(axis=0)
-        want_mean = (1.0 - momentum) * cache.bn_mean[i]
+        z = cache.fc_inputs[i] @ p.weights[i].T
+        batch_var = z.var(axis=0)
+        want_mean = (1.0 - momentum) * z.mean(axis=0)
         want_var = momentum * 1.0 + (1.0 - momentum) * batch_var
         assert np.allclose(p.bn_running_mean[i], want_mean, atol=1e-15)
         assert np.allclose(p.bn_running_var[i], want_var, atol=1e-12)
@@ -167,8 +168,6 @@ def test_forward_and_backward_match_reference_formulas(d, n, slope, momentum):
         assert np.array_equal(p.flat, ref.flat)  # running statistics included
         for name, ref_name in (
             ("fc_inputs", "fc_inputs"),
-            ("pre_bn", "pre_bn"),
-            ("bn_mean", "mean"),
             ("bn_inv_std", "inv_std"),
             ("bn_normalized", "normalized"),
             ("post_bn", "post_bn"),

@@ -9,9 +9,9 @@ from eum.model import init_params
 from eum.rng import CounterRng
 from eum.synth import SynthSpec, gen_dataset
 from eum.training import (
+    LOSS_KINDS,
     TrainConfig,
     build_val_batches,
-    config_for_dataset,
     lr_at,
     sample_triplets,
     train,
@@ -31,7 +31,6 @@ def quick_config(**overrides) -> TrainConfig:
         val_every=30,
         patience=3,
         seed=4,
-        d=16,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -65,8 +64,9 @@ def test_sample_triplets_contracts(tiny_dataset):
     for seed in range(10):
         rng = CounterRng(seed, stream=31)
         batch = sample_triplets(train_split, 32, rng)
-        batch.check()
         assert batch.anchors.shape == (32, tiny_dataset.d)
+        assert batch.positives.shape == batch.negatives.shape == batch.anchors.shape
+        assert batch.identity.shape == batch.negative_identity.shape == (32,)
         # anchors/negatives come from masked rows, positives from unmasked
         masked_set = {v.tobytes() for v in train_split.vectors[train_split.masked]}
         unmasked_set = {v.tobytes() for v in train_split.vectors[~train_split.masked]}
@@ -163,16 +163,18 @@ def test_sample_triplets_needs_both_kinds_per_identity():
 
 
 def test_train_zero_iters_returns_fresh_init(tiny_dataset):
-    cfg = config_for_dataset(quick_config(max_iters=0), tiny_dataset)
+    cfg = quick_config(max_iters=0)
     params, history = train(cfg, tiny_dataset)
-    fresh = init_params(cfg.d, cfg.seed)
+    # the network takes the dimension of the data (16 here); TrainConfig has none
+    fresh = init_params(tiny_dataset.d, cfg.seed)
+    assert params.d == tiny_dataset.d
     for i in range(4):
         assert np.array_equal(params.weights[i], fresh.weights[i])
     assert len(history.iterations) == 0
 
 
 def test_train_deterministic(tiny_dataset):
-    cfg = config_for_dataset(quick_config(), tiny_dataset)
+    cfg = quick_config()
     p1, h1 = train(cfg, tiny_dataset)
     p2, h2 = train(cfg, tiny_dataset)
     for i in range(4):
@@ -184,8 +186,8 @@ def test_train_deterministic(tiny_dataset):
 def test_batch_sequence_is_loss_independent(tiny_dataset):
     # the logged first-iteration distances depend only on init + sampling,
     # so srt and triplet runs from one seed must log identical d1/d2/d3 there
-    cfg_s = config_for_dataset(quick_config(loss_kind="srt", max_iters=1), tiny_dataset)
-    cfg_t = config_for_dataset(quick_config(loss_kind="triplet", max_iters=1), tiny_dataset)
+    cfg_s = quick_config(loss_kind="srt", max_iters=1)
+    cfg_t = quick_config(loss_kind="triplet", max_iters=1)
     _, hs = train(cfg_s, tiny_dataset)
     _, ht = train(cfg_t, tiny_dataset)
     assert hs.mean_d1[0] == ht.mean_d1[0]
@@ -193,15 +195,33 @@ def test_batch_sequence_is_loss_independent(tiny_dataset):
     assert hs.mean_d3[0] == ht.mean_d3[0]
 
 
+@pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+def test_batch_means_taken_once_per_iteration(tiny_dataset, monkeypatch, loss_kind):
+    # the SRT branch decision, its swap term and the history log share one
+    # mean of each distance array; val_every > max_iters, so none validates
+    calls = []
+    real_mean = np.mean
+
+    def counting_mean(*args, **kwargs):
+        calls.append(1)
+        return real_mean(*args, **kwargs)
+
+    monkeypatch.setattr(np, "mean", counting_mean)
+    _, history = train(quick_config(loss_kind=loss_kind, max_iters=20, val_every=21), tiny_dataset)
+    assert len(history.iterations) == 20
+    assert len(calls) == 3 * 20
+
+
+@pytest.mark.filterwarnings("error")
 def test_non_finite_loss_names_its_iteration(tiny_dataset):
-    cfg = config_for_dataset(quick_config(initial_lr=1e300), tiny_dataset)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteLoss, match=r"^iteration 1: srt loss is nan$"):
-            train(cfg, tiny_dataset)
+    # the typed error is the one report: no numpy overflow warning before it
+    cfg = quick_config(initial_lr=1e300)
+    with pytest.raises(NonFiniteLoss, match=r"^iteration 1: srt loss is nan$"):
+        train(cfg, tiny_dataset)
 
 
 def test_history_csv_shape(tiny_dataset):
-    cfg = config_for_dataset(quick_config(max_iters=40, val_every=20), tiny_dataset)
+    cfg = quick_config(max_iters=40, val_every=20)
     _, history = train(cfg, tiny_dataset)
     rows = list(history.csv_rows())
     assert rows[0] == "iter,loss,mean_d1,mean_d2,mean_d3,branch,lr"
@@ -216,17 +236,14 @@ def test_early_stopping_halts_without_improvement(tiny_dataset):
     # vanishing lr plus momentum pinned at 1.0 freezes both the parameters
     # and the running statistics, so validation loss never improves and
     # patience cuts the run short at an exactly predictable iteration
-    cfg = config_for_dataset(
-        quick_config(
-            initial_lr=1e-30, max_iters=500, val_every=10, patience=2, bn_momentum=1.0
-        ),
-        tiny_dataset,
+    cfg = quick_config(
+        initial_lr=1e-30, max_iters=500, val_every=10, patience=2, bn_momentum=1.0
     )
     params, history = train(cfg, tiny_dataset)
     assert len(history.iterations) == 30  # best at val 1, stale vals 2 and 3
     assert len(history.val_losses) == 3
     assert history.val_iterations == [9, 19, 29]
-    fresh = init_params(cfg.d, cfg.seed)
+    fresh = init_params(tiny_dataset.d, cfg.seed)
     for i in range(4):
         assert np.array_equal(params.weights[i], fresh.weights[i])
         assert np.max(np.abs(params.bn_beta[i])) < 1e-20
@@ -236,10 +253,7 @@ def test_returned_params_achieve_best_validation(tiny_dataset):
     # the trainer hands back the best validated snapshot, not the last state;
     # validate() is pure, so re-running it on the result must reproduce the
     # best recorded value (up to the improvement epsilon)
-    cfg = config_for_dataset(
-        quick_config(initial_lr=0.05, lr_drop_iters=(), max_iters=200, val_every=20),
-        tiny_dataset,
-    )
+    cfg = quick_config(initial_lr=0.05, lr_drop_iters=(), max_iters=200, val_every=20)
     params, history = train(cfg, tiny_dataset)
     rerun = validate(
         params, build_val_batches(tiny_dataset, cfg), cfg.loss_kind, cfg.margin
@@ -248,17 +262,12 @@ def test_returned_params_achieve_best_validation(tiny_dataset):
 
 
 def test_validation_batches_deterministic(tiny_dataset):
-    cfg = config_for_dataset(quick_config(), tiny_dataset)
+    cfg = quick_config()
     a = build_val_batches(tiny_dataset, cfg)
     b = build_val_batches(tiny_dataset, cfg)
     assert len(a) == len(b) > 0
     for x, y in zip(a, b):
         assert np.array_equal(x.anchors, y.anchors)
-
-
-def test_config_for_dataset_sets_dimension(tiny_dataset):
-    cfg = config_for_dataset(TrainConfig(d=999), tiny_dataset)
-    assert cfg.d == tiny_dataset.d
 
 
 def test_default_config_matches_published_recipe():
