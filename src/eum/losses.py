@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, ZeroVector
-from .vecmath import ZERO_NORM_THRESHOLD
+from .errors import DimensionMismatch, EmptyBatch
+from .vecmath import unit_rows
 
 
 class Branch(Enum):
@@ -30,9 +30,11 @@ class Branch(Enum):
 class TripletBatch:
     """Aligned anchor/positive/negative rows for one mini-batch.
 
-    Anchors are masked embeddings (pre-network), positives are unmasked
-    embeddings of the same identity, negatives are masked embeddings of a
-    different identity. Identity labels ride along for audit.
+    Anchors are masked embeddings (the network's input), positives are
+    unmasked embeddings of the same identity, negatives are masked
+    embeddings of a different identity. The sampler draws them from a split
+    normalized once, so all three are unit rows. Identity labels ride along
+    for audit.
     """
 
     anchors: np.ndarray            # N x d
@@ -45,12 +47,13 @@ class TripletBatch:
 @dataclass
 class DistanceTriple:
     """Per-row squared distances d1 (anchor-positive), d2 (anchor-negative),
-    d3 (positive-negative) on unit-normalized rows.
+    d3 (positive-negative) between unit rows.
 
-    The unit rows and pre-normalization anchor norms are kept when the
-    triple was produced by compute_distances; they are what the loss
-    gradients chain through. Hand-built triples (distances only) still
-    support loss values, just not gradients.
+    The unit anchors with their pre-normalization norms, and the positives
+    and negatives (unit rows as given), are kept when the triple was
+    produced by compute_distances; they are what the loss gradients chain
+    through. Hand-built triples (distances only) still support loss values,
+    just not gradients.
     """
 
     d1: np.ndarray
@@ -81,7 +84,9 @@ class LossResult:
 
 
 def compute_distances(anchor_out, positives, negatives) -> DistanceTriple:
-    """Normalize every row, then form the three squared-distance arrays."""
+    """Normalize the network outputs, then form the three squared-distance
+    arrays. Positives and negatives must be unit rows already (the sampler's
+    are) and are used as given; a zero output row raises ZeroVector."""
     a = np.asarray(anchor_out, dtype=np.float64)
     p = np.asarray(positives, dtype=np.float64)
     g = np.asarray(negatives, dtype=np.float64)
@@ -91,24 +96,15 @@ def compute_distances(anchor_out, positives, negatives) -> DistanceTriple:
         raise DimensionMismatch(
             f"shapes differ: anchors {a.shape}, positives {p.shape}, negatives {g.shape}"
         )
-    units = []
-    norms = []
-    for name, m in (("anchor", a), ("positive", p), ("negative", g)):
-        rn = np.sqrt(np.add.reduce(m * m, axis=1))
-        if np.any(rn <= ZERO_NORM_THRESHOLD):
-            bad = int(np.argmax(rn <= ZERO_NORM_THRESHOLD))
-            raise ZeroVector(f"{name} row {bad} has norm {rn[bad]:g}")
-        units.append(m / rn[:, None])
-        norms.append(rn)
-    ua, up, un = units
+    ua, norms = unit_rows(a)
     return DistanceTriple(
-        d1=np.sum((ua - up) ** 2, axis=1),
-        d2=np.sum((ua - un) ** 2, axis=1),
-        d3=np.sum((up - un) ** 2, axis=1),
+        d1=np.sum((ua - p) ** 2, axis=1),
+        d2=np.sum((ua - g) ** 2, axis=1),
+        d3=np.sum((p - g) ** 2, axis=1),
         unit_anchor=ua,
-        unit_pos=up,
-        unit_neg=un,
-        anchor_norm=norms[0],
+        unit_pos=p,
+        unit_neg=g,
+        anchor_norm=norms,
     )
 
 
@@ -119,29 +115,31 @@ def _check_margin(m: float) -> float:
     return m
 
 
-def _grad_through_normalization(dist: DistanceTriple, g_unit: np.ndarray) -> np.ndarray:
-    # d(unit)/d(raw) = (I - u u^T) / ||raw||, applied row-wise
-    u = dist.unit_anchor
-    proj = np.sum(g_unit * u, axis=1, keepdims=True)
-    return (g_unit - proj * u) / dist.anchor_norm[:, None]
-
-
-def triplet_loss(dist: DistanceTriple, m: float) -> LossResult:
-    """Mean hinge over d1 - d2 + m; gradient w.r.t. raw anchor outputs."""
-    m = _check_margin(m)
+def _hinge_loss(dist: DistanceTriple, m: float, far, pull, branch: Branch) -> LossResult:
+    """Mean hinge over d1 - far + m, with the gradient w.r.t. raw anchor
+    outputs; per active row, d(d1 - far)/d(unit anchor) = 2(pull - p_hat)."""
     n = dist.n
-    if n == 0:
-        raise EmptyBatch("triplet loss over empty batch")
-    hinge = dist.d1 - dist.d2 + m
+    hinge = dist.d1 - far + m
     active = hinge > 0
     loss = float(np.sum(np.maximum(hinge, 0.0)) / n)
 
     grad = None
     if dist.unit_anchor is not None:
-        # per active row: d(d1 - d2)/d(unit anchor) = 2(n_hat - p_hat)
-        g_unit = (2.0 / n) * active[:, None] * (dist.unit_neg - dist.unit_pos)
-        grad = _grad_through_normalization(dist, g_unit)
-    return LossResult(loss=loss, grad_anchor_out=grad, branch=Branch.TRIPLET, distances=dist)
+        g_unit = (2.0 / n) * active[:, None] * (pull - dist.unit_pos)
+        # d(unit)/d(raw) = (I - u u^T) / ||raw||, applied row-wise
+        u = dist.unit_anchor
+        proj = np.sum(g_unit * u, axis=1, keepdims=True)
+        grad = (g_unit - proj * u) / dist.anchor_norm[:, None]
+    return LossResult(loss=loss, grad_anchor_out=grad, branch=branch, distances=dist)
+
+
+def triplet_loss(dist: DistanceTriple, m: float) -> LossResult:
+    """Mean hinge over d1 - d2 + m; gradient w.r.t. raw anchor outputs."""
+    m = _check_margin(m)
+    if dist.n == 0:
+        raise EmptyBatch("triplet loss over empty batch")
+    # d(d1 - d2)/d(unit anchor) = 2(n_hat - p_hat)
+    return _hinge_loss(dist, m, dist.d2, dist.unit_neg, Branch.TRIPLET)
 
 
 def srt_branch(dist: DistanceTriple) -> Branch:
@@ -160,19 +158,8 @@ def srt_loss(dist: DistanceTriple, m: float) -> LossResult:
     reaches only the d1 terms with active hinges.
     """
     m = _check_margin(m)
-    branch = srt_branch(dist)
-    if branch is Branch.TRIPLET:
-        return triplet_loss(dist, m)
-
-    n = dist.n
+    if srt_branch(dist) is Branch.TRIPLET:
+        return _hinge_loss(dist, m, dist.d2, dist.unit_neg, Branch.TRIPLET)
+    # d(d1)/d(unit anchor) = 2(a_hat - p_hat); mu3 carries no gradient
     mu3 = float(dist.means[2])
-    hinge = dist.d1 - mu3 + m
-    active = hinge > 0
-    loss = float(np.sum(np.maximum(hinge, 0.0)) / n)
-
-    grad = None
-    if dist.unit_anchor is not None:
-        # d(d1)/d(unit anchor) = 2(a_hat - p_hat); mu3 carries no gradient
-        g_unit = (2.0 / n) * active[:, None] * (dist.unit_anchor - dist.unit_pos)
-        grad = _grad_through_normalization(dist, g_unit)
-    return LossResult(loss=loss, grad_anchor_out=grad, branch=Branch.SWAP, distances=dist)
+    return _hinge_loss(dist, m, mu3, dist.unit_anchor, Branch.SWAP)

@@ -169,9 +169,10 @@ def compute_scores(references, probes, eum: EumParameters | None = None) -> Scor
     """Cosine-score every reference x probe pair and split by identity.
 
     references/probes expose .identity (n,), .masked (n, bool) and
-    .vectors (n, d). With a model, every record flagged masked — on either
-    side — is passed through the network before scoring; without one, the
-    raw embeddings are scored.
+    .vectors (n, d). Every row is normalized first. With a model, every
+    record flagged masked — on either side — then passes through the
+    network, which sees unit rows as in training, and its output is
+    normalized; without one, the unit embeddings are scored.
     """
     if references.vectors.shape[0] == 0 or probes.vectors.shape[0] == 0:
         raise EmptySet(
@@ -185,15 +186,14 @@ def compute_scores(references, probes, eum: EumParameters | None = None) -> Scor
         )
 
     def side(vectors: np.ndarray, masked: np.ndarray) -> np.ndarray:
-        v = np.asarray(vectors, dtype=np.float64)
+        v = normalize_rows(vectors)
         if eum is not None and np.any(masked):
             if eum.d != v.shape[1]:
                 raise DimensionMismatch(
                     f"model d {eum.d} vs embedding d {v.shape[1]}"
                 )
-            v = v.copy()
-            v[masked] = forward_infer(eum, v[masked])
-        return normalize_rows(v)
+            v[masked] = normalize_rows(forward_infer(eum, v[masked]))
+        return v
 
     ref_units = side(references.vectors, references.masked)
     probe_units = side(probes.vectors, probes.masked)

@@ -85,9 +85,3 @@ class CounterRng:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n] * sigma
-
-    def integers(self, bound: int, n: int) -> np.ndarray:
-        """Next n integers uniform on [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return _bounded(self.u01(n), bound)

@@ -109,26 +109,16 @@ def gen_dataset(spec: SynthSpec) -> Dataset:
     mask_units = normalize_rows(mask_dir[None, :] + noise_m)
     masked = normalize_rows((1.0 - beta) * base_units + beta * mask_units)
 
+    per = n_u + n_m
     split_u = _split_column(_allocate(n_u, spec.split))
     split_m = _split_column(_allocate(n_m, spec.split))
-
-    identity = np.empty(k * (n_u + n_m), dtype=np.int64)
-    sample = np.empty_like(identity)
-    masked_col = np.empty(len(identity), dtype=bool)
-    split = np.empty(len(identity), dtype=np.uint8)
-    vectors = np.empty((len(identity), d))
-    per = n_u + n_m
-    for ident in range(k):
-        lo = ident * per
-        identity[lo:lo + per] = ident
-        sample[lo:lo + n_u] = np.arange(n_u)
-        sample[lo + n_u:lo + per] = np.arange(n_m)
-        masked_col[lo:lo + n_u] = False
-        masked_col[lo + n_u:lo + per] = True
-        split[lo:lo + n_u] = split_u
-        split[lo + n_u:lo + per] = split_m
-        vectors[lo:lo + n_u] = unmasked[ident * n_u:(ident + 1) * n_u]
-        vectors[lo + n_u:lo + per] = masked[ident * n_m:(ident + 1) * n_m]
+    identity = np.repeat(np.arange(k, dtype=np.int64), per)
+    sample = np.tile(np.concatenate([np.arange(n_u), np.arange(n_m)]), k)
+    masked_col = np.tile(np.arange(per) >= n_u, k)
+    split = np.tile(np.concatenate([split_u, split_m]), k)
+    vectors = np.concatenate(
+        [unmasked.reshape(k, n_u, d), masked.reshape(k, n_m, d)], axis=1
+    ).reshape(k * per, d)
 
     return Dataset(identity, sample, masked_col, split, vectors)
 

@@ -205,24 +205,33 @@ def validate(
     loss_kind: str,
     margin: float,
 ) -> float:
-    """Mean loss over fixed batches, inference-mode network, no mutation."""
+    """Mean loss over fixed batches of unit rows, as build_val_batches
+    draws them; inference-mode network, no mutation."""
     if not val_batches:
         raise EmptyValidationSet("no validation batches")
     fn = _loss_fn(loss_kind)
     total = 0.0
     for batch in val_batches:
-        out = forward_infer(params, normalize_rows(batch.anchors))
+        out = forward_infer(params, batch.anchors)
         dist = compute_distances(out, batch.positives, batch.negatives)
         total += fn(dist, margin).loss
     return total / len(val_batches)
 
 
+def _unit_split(dataset: Dataset, name: str) -> Dataset:
+    """The records of one split with every vector scaled to unit norm, once
+    for the whole run; a zero vector anywhere in it raises ZeroVector."""
+    split = dataset.for_split(name)
+    split.vectors = normalize_rows(split.vectors)
+    return split
+
+
 def build_val_batches(
     dataset: Dataset, cfg: TrainConfig, n_batches: int = _VAL_BATCHES
 ) -> list[TripletBatch]:
-    """Validation triplets, frozen: drawn from a stream independent of the
-    training batches."""
-    val = dataset.for_split("val")
+    """Validation triplets of unit rows, frozen: drawn from a stream
+    independent of the training batches."""
+    val = _unit_split(dataset, "val")
     rng = CounterRng(cfg.seed, _STREAM_VALSET)
     index = _TripletIndex(val)
     return [sample_triplets(val, cfg.batch_size, rng, index) for _ in range(n_batches)]
@@ -232,11 +241,13 @@ def build_val_batches(
 def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHistory]:
     """SGD over sampled triplets; returns best-validation parameters.
 
-    Stops at max_iters or after `patience` consecutive validations without
-    a strict improvement of at least 1e-6. The network's dimension is the
-    dataset's. A NaN or infinite training loss raises NonFiniteLoss naming
-    its iteration; numpy's overflow and invalid-value warnings on the way
-    there are silenced, so that error is the one report.
+    The train and val splits are normalized once, up front, so the network
+    sees unit rows. Stops at max_iters or after `patience` consecutive
+    validations without a strict improvement of at least 1e-6. The
+    network's dimension is the dataset's. A NaN or infinite training loss
+    raises NonFiniteLoss naming its iteration; numpy's overflow and
+    invalid-value warnings on the way there are silenced, so that error is
+    the one report.
     """
     cfg.validate()
     params = init_params(
@@ -246,7 +257,7 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
     if cfg.max_iters == 0:
         return params, history
 
-    train_split = dataset.for_split("train")
+    train_split = _unit_split(dataset, "train")
     index = _TripletIndex(train_split)
     val_batches = build_val_batches(dataset, cfg)
     batch_rng = CounterRng(cfg.seed, _STREAM_BATCHES)
@@ -258,7 +269,7 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
 
     for iteration in range(cfg.max_iters):
         batch = sample_triplets(train_split, cfg.batch_size, batch_rng, index)
-        out, cache = forward_train(params, normalize_rows(batch.anchors))
+        out, cache = forward_train(params, batch.anchors)
         dist = compute_distances(out, batch.positives, batch.negatives)
         result = fn(dist, cfg.margin)
         if not math.isfinite(result.loss):

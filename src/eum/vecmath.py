@@ -26,11 +26,17 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def normalize_rows(m) -> np.ndarray:
-    """Normalize every row of an N x d matrix to unit norm."""
+def unit_rows(m) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of an N x d matrix scaled to unit norm, and the N norms
+    it was divided by; a row with norm <= 1e-12 raises ZeroVector."""
     m = _as_f64(m)
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         bad = int(np.argmax(norms <= ZERO_NORM_THRESHOLD))
         raise ZeroVector(f"row {bad} has norm {norms[bad]:g}")
-    return m / norms[:, None]
+    return m / norms[:, None], norms
+
+
+def normalize_rows(m) -> np.ndarray:
+    """Normalize every row of an N x d matrix to unit norm."""
+    return unit_rows(m)[0]

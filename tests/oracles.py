@@ -147,6 +147,16 @@ def rel_err(analytic, numeric, floor: float = 1e-8):
     return float(np.max(np.abs(a - n) / denom))
 
 
+def rng_integers(rng, bound: int, n: int):
+    """Next n integers uniform on [0, bound) from a CounterRng: one u01
+    draw of n, each uniform scaled by the bound and floored."""
+    import numpy as np
+
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return np.array([min(int(u * bound), bound - 1) for u in rng.u01(n)], dtype=np.int64)
+
+
 def oracle_sample_triplets(dataset, batch_size, rng):
     """Triplet rows (anchor, positive, negative) and identity labels drawn
     the per-identity way: one u01 call per role, one boolean pass per
@@ -186,7 +196,7 @@ def oracle_forward_train(params, batch):
     returns the outputs and a dict of per-layer lists."""
     import numpy as np
 
-    cache = {k: [] for k in ("fc_inputs", "pre_bn", "mean", "inv_std", "normalized", "post_bn")}
+    cache = {k: [] for k in ("fc_inputs", "inv_std", "normalized", "post_bn")}
     h = batch
     mom = params.bn_momentum
     for i in range(4):
@@ -199,8 +209,6 @@ def oracle_forward_train(params, batch):
         post_bn = params.bn_gamma[i] * normalized + params.bn_beta[i]
         params.bn_running_mean[i] = mom * params.bn_running_mean[i] + (1.0 - mom) * mean
         params.bn_running_var[i] = mom * params.bn_running_var[i] + (1.0 - mom) * var
-        cache["pre_bn"].append(z)
-        cache["mean"].append(mean)
         cache["inv_std"].append(inv_std)
         cache["normalized"].append(normalized)
         cache["post_bn"].append(post_bn)
@@ -244,3 +252,58 @@ def oracle_forward_infer(params, batch):
         post_bn += params.bn_beta[i]
         h = np.where(post_bn > 0, post_bn, params.leaky_slope * post_bn) if i < 3 else post_bn
     return h
+
+
+def oracle_gen_dataset(spec):
+    """gen_dataset's columns assembled one identity at a time: the same
+    block draws and normalizations, then each identity's unmasked rows
+    followed by its masked rows."""
+    import numpy as np
+
+    from eum import synth
+    from eum.rng import CounterRng
+    from eum.vecmath import l2_normalize, normalize_rows
+
+    k, n_u, n_m, d = (
+        spec.num_identities,
+        spec.samples_per_identity_unmasked,
+        spec.samples_per_identity_masked,
+        spec.d,
+    )
+    beta = spec.mask_strength
+
+    def noise(stream, rows, sigma):
+        return CounterRng(spec.seed, stream).normal(rows * d, sigma=sigma).reshape(rows, d)
+
+    protos = normalize_rows(noise(synth._STREAM_PROTO, k, 1.0))
+    mask_dir = l2_normalize(CounterRng(spec.seed, synth._STREAM_MASK_DIR).normal(d))
+    unmasked = normalize_rows(
+        np.repeat(protos, n_u, axis=0)
+        + noise(synth._STREAM_UNMASKED, k * n_u, spec.intra_class_sigma)
+    )
+    base_units = normalize_rows(
+        np.repeat(protos, n_m, axis=0)
+        + noise(synth._STREAM_MASKED_BASE, k * n_m, spec.intra_class_sigma)
+    )
+    mask_units = normalize_rows(
+        mask_dir[None, :] + noise(synth._STREAM_MASK_NOISE, k * n_m, spec.mask_noise_sigma)
+    )
+    masked = normalize_rows((1.0 - beta) * base_units + beta * mask_units)
+    split_u = np.repeat(np.arange(len(spec.split)), synth._allocate(n_u, spec.split))
+    split_m = np.repeat(np.arange(len(spec.split)), synth._allocate(n_m, spec.split))
+
+    identity, sample, masked_col, split, vectors = [], [], [], [], []
+    for ident in range(k):
+        for j in range(n_u):
+            identity.append(ident)
+            sample.append(j)
+            masked_col.append(False)
+            split.append(split_u[j])
+            vectors.append(unmasked[ident * n_u + j])
+        for j in range(n_m):
+            identity.append(ident)
+            sample.append(j)
+            masked_col.append(True)
+            split.append(split_m[j])
+            vectors.append(masked[ident * n_m + j])
+    return identity, sample, masked_col, split, np.array(vectors)

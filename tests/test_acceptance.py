@@ -18,6 +18,7 @@ from oracles import (
     oracle_fdr,
     oracle_fnmr_at_fmr,
     rel_err,
+    rng_integers,
 )
 
 from eum.cli import main
@@ -41,10 +42,11 @@ def _pipeline_loss(params, anchors, positives, negatives, loss_fn, margin):
 
 
 def _kink_free_case(d, n, seed, kind, margin):
-    """Random parameters and batch whose hinge arguments, LeakyReLU inputs
-    and branch decision all sit at least 1e-4 away from their kinks, so a
-    1e-6 finite-difference step cannot cross one. Bumps the seed until a
-    safe configuration appears.
+    """Random parameters and batch (raw anchors, unit positives and
+    negatives) whose hinge arguments, LeakyReLU inputs and branch decision
+    all sit at least 1e-4 away from their kinks, so a 1e-6
+    finite-difference step cannot cross one. Bumps the seed until a safe
+    configuration appears.
 
     bn_epsilon is raised to 0.25 here, for conditioning only. At N=2 the
     batch-normalized value of every unit is +-t/sqrt(t^2+eps) with
@@ -62,8 +64,8 @@ def _kink_free_case(d, n, seed, kind, margin):
             params.bn_gamma[i] = 1.0 + 0.2 * rng.normal(d)
             params.bn_beta[i] = 0.1 * rng.normal(d)
         anchors = rng.normal(n * d).reshape(n, d)
-        positives = rng.normal(n * d).reshape(n, d)
-        negatives = rng.normal(n * d).reshape(n, d)
+        positives = normalize_rows(rng.normal(n * d).reshape(n, d))
+        negatives = normalize_rows(rng.normal(n * d).reshape(n, d))
 
         out, cache = forward_train(params.copy(), normalize_rows(anchors))
         if min(float(np.min(np.abs(x))) for x in cache.post_bn) < 1e-4:
@@ -165,8 +167,8 @@ def test_acceptance_2_metrics_match_sweep_oracle():
         if case < len(forced_sizes):
             n_g, n_i = forced_sizes[case]
         else:
-            n_g = 1 + int(rng.integers(500, 1)[0])
-            n_i = 1 + int(rng.integers(500, 1)[0])
+            n_g = 1 + int(rng_integers(rng, 500, 1)[0])
+            n_i = 1 + int(rng_integers(rng, 500, 1)[0])
         g = _tie_rich_scores(rng, n_g)
         im = _tie_rich_scores(rng, n_i)
         ss = ScoreSet(genuine=g, imposter=im)
@@ -200,9 +202,10 @@ def test_acceptance_3_fdr_hand_value():
 
 
 def _random_triple(rng, n, d):
+    """Raw anchor outputs, unit positives and unit negatives."""
     anchors = rng.normal(n * d).reshape(n, d)
-    positives = rng.normal(n * d).reshape(n, d)
-    negatives = rng.normal(n * d).reshape(n, d)
+    positives = normalize_rows(rng.normal(n * d).reshape(n, d))
+    negatives = normalize_rows(rng.normal(n * d).reshape(n, d))
     return anchors, positives, negatives
 
 
@@ -399,9 +402,9 @@ def test_acceptance_8_score_protocols_equivalent():
     rng = CounterRng(99, stream=81)
     n_datasets = 100
     for _ in range(n_datasets):
-        k = 3 + int(rng.integers(6, 1)[0])
-        per = 2 + int(rng.integers(4, 1)[0])
-        d = 6 + int(rng.integers(10, 1)[0])
+        k = 3 + int(rng_integers(rng, 6, 1)[0])
+        per = 2 + int(rng_integers(rng, 4, 1)[0])
+        d = 6 + int(rng_integers(rng, 10, 1)[0])
         protos = rng.normal(k * d).reshape(k, d)
         ids = np.repeat(np.arange(k), per)
 

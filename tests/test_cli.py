@@ -197,6 +197,22 @@ def test_compare_csv_contract(compare_dir):
         assert (compare_dir / name).exists()
 
 
+def test_compare_is_blind_to_the_scale_of_the_embeddings(workdir, data_file, compare_dir):
+    # training and scoring both feed the network unit rows, and scaling by a
+    # power of two is exact in f32, so every written result is unchanged
+    ds = read_embeddings(data_file)
+    ds.vectors *= 4.0
+    scaled = workdir / "scaled.emb"
+    write_embeddings(scaled, ds)
+    out = workdir / "cmp_scaled"
+    assert main(["compare", "--data", str(scaled), "--out", str(out)] + TRAIN_ARGS) == 0
+    for name in (
+        "compare.csv", "model_triplet.eum", "model_srt.eum",
+        "history_triplet.csv", "history_srt.csv",
+    ):
+        assert (out / name).read_bytes() == (compare_dir / name).read_bytes(), name
+
+
 def test_eval_of_stored_models_reproduces_compare_rows(workdir, data_file, compare_dir):
     lines = (compare_dir / "compare.csv").read_text().splitlines()
     names = COMPARE_COLUMNS.split(",")[2:]

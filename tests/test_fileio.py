@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from eum.errors import (
     BadMagic,
     CorruptRecord,
-    DimensionMismatch,
     EumError,
     IoError,
     VersionUnsupported,
@@ -30,7 +29,6 @@ from eum.fileio import (
 )
 from eum.model import NUM_LAYERS, forward_infer, forward_train, init_params
 from eum.rng import CounterRng
-from eum.synth import SynthSpec, gen_dataset
 
 
 def sample_dataset(d: int = 8, n: int = 30) -> Dataset:
@@ -366,6 +364,55 @@ def test_checkpoint_round_trip_and_truncation_property(tmp_path_factory, d, seed
     path.write_bytes(raw[:cut])
     with pytest.raises(EumError):
         read_checkpoint(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    col = st.lists
+    return Dataset(
+        identity=draw(col(st.integers(0, 2**31), min_size=n, max_size=n)),
+        sample=draw(col(st.integers(0, 2**31), min_size=n, max_size=n)),
+        masked=draw(col(st.booleans(), min_size=n, max_size=n)),
+        split=draw(col(st.integers(0, len(SPLIT_NAMES) - 1), min_size=n, max_size=n)),
+        vectors=np.reshape(draw(col(_finite, min_size=n * d, max_size=n * d)), (n, d)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=_datasets())
+def test_csv_round_trip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    export_csv(path, ds)
+    back = import_csv(path)
+    for column in ("identity", "sample", "masked", "split", "vectors"):
+        assert np.array_equal(getattr(back, column), getattr(ds, column)), column
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=_datasets(), data=st.data())
+def test_csv_bad_row_names_its_line_property(tmp_path_factory, ds, data):
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    export_csv(path, ds)
+    lines = path.read_text().splitlines()
+    lineno = data.draw(st.integers(2, len(lines)), label="line")
+    cells = lines[lineno - 1].split(",")
+    flaw = data.draw(st.sampled_from(["short", "long", "nan", "inf", "-inf"]), label="flaw")
+    if flaw == "short":
+        cells.pop()
+    elif flaw == "long":
+        cells.append("0.5")
+    else:
+        cells[data.draw(st.integers(4, len(cells) - 1), label="cell")] = flaw
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecord, match=f"bad.csv: line {lineno}: ") as err:
+        import_csv(path)
+    assert err.value.offset == lineno
 
 
 def test_checkpoint_with_stored_bias_matches_old_formula(tmp_path):

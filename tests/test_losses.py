@@ -13,21 +13,24 @@ from eum.losses import (
     triplet_loss,
 )
 from eum.rng import CounterRng
+from eum.vecmath import normalize_rows
 from oracles import fd_gradient, rel_err
 
 
 def random_triple(seed: int, n: int = 5, d: int = 8):
+    """Raw anchor outputs, unit positives and unit negatives."""
     rng = CounterRng(seed, stream=17)
     a = rng.normal(n * d).reshape(n, d)
-    p = rng.normal(n * d).reshape(n, d)
-    g = rng.normal(n * d).reshape(n, d)
+    p = normalize_rows(rng.normal(n * d).reshape(n, d))
+    g = normalize_rows(rng.normal(n * d).reshape(n, d))
     return a, p, g
 
 
 def test_compute_distances_hand_values():
+    # raw anchor outputs are normalized; unit positives/negatives pass as given
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
-    p = np.array([[2.0, 0.0], [0.0, 1.0]])
-    n = np.array([[0.0, 1.0], [3.0, 0.0]])
+    p = np.array([[1.0, 0.0], [0.0, 1.0]])
+    n = np.array([[0.0, 1.0], [1.0, 0.0]])
     dist = compute_distances(a, p, n)
     assert np.allclose(dist.d1, [0.0, 0.0], atol=1e-15)
     assert np.allclose(dist.d2, [2.0, 2.0], atol=1e-15)
@@ -35,11 +38,14 @@ def test_compute_distances_hand_values():
     assert dist.n == 2
     assert np.allclose(np.linalg.norm(dist.unit_anchor, axis=1), 1.0, atol=1e-12)
     assert np.allclose(dist.anchor_norm, [1.0, 2.0], atol=1e-15)
+    assert np.array_equal(dist.unit_pos, p) and np.array_equal(dist.unit_neg, n)
 
 
 def test_compute_distances_errors():
-    with pytest.raises(ZeroVector, match="negative"):
-        compute_distances(np.ones((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+    anchors = np.ones((2, 3))
+    anchors[1] = 0.0
+    with pytest.raises(ZeroVector, match="^row 1 has norm 0$"):
+        compute_distances(anchors, np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):
         compute_distances(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):

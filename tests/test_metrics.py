@@ -260,9 +260,10 @@ def test_compute_scores_eum_switches():
     on = compute_scores(refs, probes, eum=model)
     assert np.array_equal(raw.genuine, with_none.genuine)
     assert not np.allclose(raw.genuine, on.genuine)
-    # masked probes are transformed, unmasked rows pass through untouched
-    transformed = probes.vectors.copy()
-    transformed[probes.masked] = forward_infer(model, probes.vectors[probes.masked])
+    # masked probes are transformed from their unit rows, unmasked rows
+    # pass through untouched
+    transformed = normalize_rows(probes.vectors)
+    transformed[probes.masked] = forward_infer(model, transformed[probes.masked])
     want = normalize_rows(refs.vectors) @ normalize_rows(transformed).T
     genuine_mask = refs.identity[:, None] == probes.identity[None, :]
     assert np.allclose(on.genuine, want[genuine_mask], atol=1e-12)
@@ -274,7 +275,7 @@ def test_compute_scores_applies_to_masked_references_too():
     probes = ds.subset(~ds.masked)
     model = init_params(ds.d, seed=3)
     on = compute_scores(masked_refs, probes, eum=model)
-    transformed = forward_infer(model, masked_refs.vectors)
+    transformed = forward_infer(model, normalize_rows(masked_refs.vectors))
     want = normalize_rows(transformed) @ normalize_rows(probes.vectors).T
     genuine_mask = masked_refs.identity[:, None] == probes.identity[None, :]
     assert np.allclose(on.genuine, want[genuine_mask], atol=1e-12)

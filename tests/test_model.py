@@ -6,7 +6,6 @@ import pytest
 from eum.errors import BatchTooSmall, DimensionMismatch, InvalidDimension, ShapeMismatch
 from eum.model import (
     NUM_LAYERS,
-    EumParameters,
     ParamGrads,
     backward,
     forward_infer,

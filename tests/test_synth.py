@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from eum.errors import InvalidSpec, MissingMaskedRecords
-from eum.fileio import SPLIT_NAMES, Dataset
+from eum.fileio import SPLIT_NAMES
 from eum.synth import SynthSpec, gen_dataset, phenomenon_report
 from eum.vecmath import normalize_rows
+from oracles import oracle_gen_dataset
 
 
 def small_spec(**overrides) -> SynthSpec:
@@ -35,6 +36,25 @@ def test_gen_dataset_counts_and_flags():
         for masked in (False, True):
             s = ds.sample[rows & (ds.masked == masked)]
             assert len(np.unique(s)) == len(s)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(num_identities=7, samples_per_identity_unmasked=3, samples_per_identity_masked=5),
+        dict(num_identities=2, samples_per_identity_unmasked=1, samples_per_identity_masked=1, d=1),
+        dict(num_identities=9, d=5, seed=11, split=(0.3, 0.3, 0.2, 0.2)),
+    ],
+)
+def test_gen_dataset_matches_per_identity_oracle(overrides):
+    spec = small_spec(**overrides)
+    ds = gen_dataset(spec)
+    identity, sample, masked, split, vectors = oracle_gen_dataset(spec)
+    assert np.array_equal(ds.identity, identity)
+    assert np.array_equal(ds.sample, sample)
+    assert np.array_equal(ds.masked, masked)
+    assert np.array_equal(ds.split, split)
+    assert np.array_equal(ds.vectors, vectors)
 
 
 def test_gen_dataset_rows_are_unit_norm():

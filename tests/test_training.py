@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from eum.errors import InsufficientIdentities, MissingPairForIdentity, NonFiniteLoss
-from eum.fileio import Dataset
+import eum.training
+from eum.errors import InsufficientIdentities, MissingPairForIdentity, NonFiniteLoss, ZeroVector
+from eum.fileio import SPLIT_CODES, Dataset
 from eum.model import init_params
 from eum.rng import CounterRng
-from eum.synth import SynthSpec, gen_dataset
 from eum.training import (
     LOSS_KINDS,
     TrainConfig,
@@ -210,6 +210,47 @@ def test_batch_means_taken_once_per_iteration(tiny_dataset, monkeypatch, loss_ki
     _, history = train(quick_config(loss_kind=loss_kind, max_iters=20, val_every=21), tiny_dataset)
     assert len(history.iterations) == 20
     assert len(calls) == 3 * 20
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_zero_vector_in_a_split_fails_before_the_first_iteration(
+    tiny_dataset, monkeypatch, split
+):
+    # the zero sits on the split's last unmasked row; with val_every past
+    # max_iters no validation runs, so only the up-front normalization sees it
+    ds = tiny_dataset.subset(np.ones(len(tiny_dataset), dtype=bool))
+    in_split = np.flatnonzero(ds.split == SPLIT_CODES[split])
+    row = in_split[~ds.masked[in_split]][-1]
+    ds.vectors[row] = 0.0
+    steps = []
+    real_forward = eum.training.forward_train
+
+    def counting_forward(*args):
+        steps.append(1)
+        return real_forward(*args)
+
+    monkeypatch.setattr(eum.training, "forward_train", counting_forward)
+    with pytest.raises(ZeroVector, match=f"^row {np.searchsorted(in_split, row)} has norm 0$"):
+        train(quick_config(max_iters=2, val_every=3), ds)
+    assert steps == []
+
+
+def test_splits_normalized_once_per_run(tiny_dataset, monkeypatch):
+    # the train and val splits are normalized up front, never per batch
+    calls = []
+    real_normalize = eum.training.normalize_rows
+
+    def counting_normalize(m):
+        calls.append(len(m))
+        return real_normalize(m)
+
+    monkeypatch.setattr(eum.training, "normalize_rows", counting_normalize)
+    per_run = []
+    for max_iters in (20, 40):
+        calls.clear()
+        train(quick_config(max_iters=max_iters, val_every=10, patience=100), tiny_dataset)
+        per_run.append(len(calls))
+    assert per_run == [2, 2]
 
 
 @pytest.mark.filterwarnings("error")
