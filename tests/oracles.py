@@ -65,6 +65,24 @@ def oracle_eer(genuine, imposter) -> float:
     return best_rate
 
 
+def oracle_eer_threshold(genuine, imposter) -> float:
+    """The lowest threshold minimizing |FMR - FNMR| over -inf, every observed
+    score and +inf. No midpoints: a midpoint has the counts of the next
+    score up, so it would tie with that score and win as the lower one."""
+    gen = sorted(genuine)
+    imp = sorted(imposter)
+    best_gap = None
+    best_t = None
+    for t in [-math.inf] + sorted(set(genuine) | set(imposter)) + [math.inf]:
+        fnmr = _count_below(gen, t) / len(gen)
+        fmr = (len(imp) - _count_below(imp, t)) / len(imp)
+        gap = abs(fmr - fnmr)
+        if best_gap is None or gap < best_gap:  # strict: lowest threshold wins ties
+            best_gap = gap
+            best_t = t
+    return best_t
+
+
 def oracle_fnmr_at_fmr(genuine, imposter, ceiling: float) -> float:
     feasible = [fnmr for _, fnmr, fmr in rate_pairs(genuine, imposter) if fmr <= ceiling]
     return min(feasible)

@@ -1,7 +1,11 @@
 """Verification metrics: hand values, oracle agreement, protocol contracts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eum.metrics
 from eum.errors import (
@@ -28,6 +32,7 @@ from eum.vecmath import normalize_rows
 from oracles import (
     oracle_auc,
     oracle_eer,
+    oracle_eer_threshold,
     oracle_fdr,
     oracle_fnmr_at_fmr,
     oracle_roc_corners,
@@ -178,19 +183,80 @@ def test_roc_corners_hand_values():
     ]
 
 
-def test_report_and_roc_sweep_once(monkeypatch):
-    calls = []
-    unique = np.unique
+def test_report_and_roc_sort_the_imposters_once(monkeypatch):
+    s = random_scoreset(12)
+    n_gen, n_imp = s.genuine.size, s.imposter.size
+    assert n_imp not in (n_gen, n_gen + 1)  # so a sort's size names its population
+    sorted_sizes, searched_sizes = [], []
 
-    def counting_unique(*args, **kwargs):
-        calls.append(1)
-        return unique(*args, **kwargs)
+    def recording(fn, sizes):
+        def wrapped(*args, **kwargs):
+            sizes.extend(np.size(a) for a in args[:2])
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(eum.metrics.np, "unique", counting_unique)
-    s = random_scoreset(11)
+        return wrapped
+
+    monkeypatch.setattr(eum.metrics.np, "sort", recording(np.sort, sorted_sizes))
+    monkeypatch.setattr(eum.metrics.np, "unique", recording(np.unique, searched_sizes))
+    monkeypatch.setattr(
+        eum.metrics.np, "searchsorted", recording(np.searchsorted, searched_sizes)
+    )
     report(s)
     roc(s)
-    assert len(calls) == 1
+    assert sorted_sizes.count(n_imp) == 1
+    # no sweep over every score: each call sees one population or fewer keys
+    assert searched_sizes and max(searched_sizes) < n_gen + n_imp
+
+
+TIE_RICH = st.lists(
+    st.one_of(st.sampled_from([k / 8 for k in range(-8, 9)]), st.floats(-1.0, 1.0)),
+    min_size=1,
+    max_size=40,
+)
+
+
+def assert_matches_oracles(genuine, imposter):
+    s = ScoreSet(genuine, imposter)
+    rate, thr = eer(s)
+    assert rate == oracle_eer(genuine, imposter)
+    assert thr == oracle_eer_threshold(genuine, imposter)
+    got = [(float(f), float(t)) for f, t in roc(s)]
+    assert got == oracle_roc_corners(genuine, imposter)
+    n_imp = len(imposter)
+    for k in range(1, n_imp):
+        # ceilings on an achievable FMR test the boundary of "within"
+        want = oracle_fnmr_at_fmr(genuine, imposter, k / n_imp)
+        assert fnmr_at_fmr(s, k / n_imp) == want
+    return rate, thr
+
+
+@settings(max_examples=300, deadline=None)
+@given(genuine=TIE_RICH, imposter=TIE_RICH)
+def test_eer_threshold_roc_and_fnmr_match_oracles_property(genuine, imposter):
+    assert_matches_oracles(genuine, imposter)
+
+
+@pytest.mark.parametrize(
+    "genuine, imposter, want_eer, want_thr",
+    [
+        # one genuine score: the crossing run lies above it, at an imposter
+        ([0.5], [0.2, 0.5, 0.7, 0.9], 0.75, 0.7),
+        # one imposter
+        ([0.3, 0.6, 0.8, 0.9], [0.6], 0.25, 0.8),
+        # all scores equal: every threshold gives |gap| 1, so -inf wins
+        ([0.4, 0.4], [0.4, 0.4, 0.4, 0.4], 0.5, -math.inf),
+        # every genuine score below every imposter, and the reverse
+        ([0.1, 0.2], [0.5, 0.6, 0.7, 0.8], 1.0, 0.5),
+        ([0.5, 0.6, 0.7, 0.8], [0.1, 0.2], 0.0, 0.5),
+        # FMR = FNMR exactly at a genuine score
+        ([0.2, 0.6, 0.8, 0.9], [0.1, 0.3, 0.5, 0.7], 0.25, 0.6),
+        # the lowest score genuine, then the lowest score an imposter
+        ([0.1, 0.7], [0.3, 0.5, 0.9, 0.95], 0.5, 0.7),
+        ([0.4, 0.8], [0.1, 0.6, 0.7, 0.9], 0.5, 0.7),
+    ],
+)
+def test_eer_threshold_roc_and_fnmr_edge_cases(genuine, imposter, want_eer, want_thr):
+    assert assert_matches_oracles(genuine, imposter) == (want_eer, want_thr)
 
 
 def test_monotone_transform_invariance():
@@ -254,7 +320,11 @@ def test_compute_scores_eum_switches():
     ds = tiny_eval_dataset()
     refs = ds.subset(np.array([True, True, False, False, False]))
     probes = ds.subset(np.array([False, False, True, True, True]))
+    # probes off the unit sphere, and a model that is not positively
+    # homogeneous, so feeding it raw rows instead of unit rows shows
+    probes.vectors *= 3.0
     model = init_params(ds.d, seed=3)
+    model.bn_running_mean[:] = 0.25
     raw = compute_scores(refs, probes)
     with_none = compute_scores(refs, probes, eum=None)
     on = compute_scores(refs, probes, eum=model)
@@ -267,6 +337,7 @@ def test_compute_scores_eum_switches():
     want = normalize_rows(refs.vectors) @ normalize_rows(transformed).T
     genuine_mask = refs.identity[:, None] == probes.identity[None, :]
     assert np.allclose(on.genuine, want[genuine_mask], atol=1e-12)
+    assert np.allclose(on.imposter, want[~genuine_mask], atol=1e-12)
 
 
 def test_compute_scores_applies_to_masked_references_too():
