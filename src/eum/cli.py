@@ -2,7 +2,9 @@
 
 Every command writes a manifest.json capturing the fully resolved
 configuration, so rerunning with the recorded values reproduces the output
-files byte for byte. All randomness is seeded; the EUM_THREADS environment
+files byte for byte. Each flag that sets a TrainConfig or SynthSpec field
+has that field's name as its dest and its default as the flag's default,
+so a field's flag, default and manifest key are written once. All randomness is seeded; the EUM_THREADS environment
 variable caps BLAS threads (0 or 1, the default, runs fully deterministic
 single-threaded math).
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import EumError
@@ -67,23 +70,20 @@ def _report_csv_cells(rep: VerificationReport) -> str:
     return ",".join(repr(getattr(rep, name)) for name in COMPARE_COLUMNS.split(",")[2:])
 
 
+def _from_args(cls, args: argparse.Namespace):
+    """The dataclass cls from the parsed flags whose dest is one of its
+    fields; a field without a flag keeps its default, list values become
+    tuples."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        num_identities=args.identities,
-        samples_per_identity_unmasked=args.unmasked_per_id,
-        samples_per_identity_masked=args.masked_per_id,
-        d=args.dim,
-        intra_class_sigma=args.sigma,
-        mask_strength=args.mask_strength,
-        mask_noise_sigma=args.mask_noise,
-        seed=args.seed,
-        split=tuple(args.split),
-    )
+    spec = _from_args(SynthSpec, args)
     dataset = gen_dataset(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_embeddings(out, dataset)
-    _write_json(out.with_name(out.name + ".spec.json"), spec.as_dict())
     _write_json(
         out.with_name(out.name + ".manifest.json"),
         {"command": "gen-data", "spec": spec.as_dict()},
@@ -95,24 +95,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        loss_kind=args.loss,
-        margin=args.margin,
-        batch_size=args.batch_size,
-        initial_lr=args.lr,
-        lr_drop_iters=tuple(args.lr_drops),
-        lr_drop_factor=args.lr_drop_factor,
-        max_iters=args.max_iters,
-        val_every=args.val_every,
-        patience=args.patience,
-        seed=args.seed,
-    )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = read_embeddings(args.data)
-    cfg = _config_from_args(args)
+    cfg = _from_args(TrainConfig, args)
     params, history = train(cfg, dataset)
 
     out_dir = Path(args.out)
@@ -171,7 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base_cfg = _config_from_args(args)
+    base_cfg = _from_args(TrainConfig, args)
     models: dict[str, EumParameters | None] = {"baseline": None}
     for kind in LOSS_KINDS:
         cfg = replace(base_cfg, loss_kind=kind)
@@ -208,24 +193,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _field_flag(parser: argparse.ArgumentParser, defaults, flag: str, name: str, **options) -> None:
+    """A flag whose dest is the field `name` of the dataclass instance
+    defaults and whose default is that field's value (a tuple as a list)."""
+    default = getattr(defaults, name)
+    default = list(default) if isinstance(default, tuple) else default
+    parser.add_argument(flag, dest=name, default=default, **options)
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = TrainConfig()
-    parser.add_argument("--loss", choices=LOSS_KINDS, default=defaults.loss_kind)
-    parser.add_argument("--margin", type=float, default=defaults.margin)
-    parser.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    parser.add_argument("--lr", type=float, default=defaults.initial_lr)
-    parser.add_argument(
-        "--lr-drops",
-        type=int,
-        nargs="*",
-        default=list(defaults.lr_drop_iters),
-        help="iterations at which the learning rate divides by the drop factor",
-    )
-    parser.add_argument("--lr-drop-factor", type=float, default=defaults.lr_drop_factor)
-    parser.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    parser.add_argument("--val-every", type=int, default=defaults.val_every)
-    parser.add_argument("--patience", type=int, default=defaults.patience)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+    flag = partial(_field_flag, parser, TrainConfig())
+    flag("--loss", "loss_kind", choices=LOSS_KINDS)
+    flag("--margin", "margin", type=float)
+    flag("--batch-size", "batch_size", type=int)
+    flag("--lr", "initial_lr", type=float)
+    drops_help = "iterations at which the learning rate divides by the drop factor"
+    flag("--lr-drops", "lr_drop_iters", type=int, nargs="*", help=drops_help)
+    flag("--lr-drop-factor", "lr_drop_factor", type=float)
+    flag("--max-iters", "max_iters", type=int)
+    flag("--val-every", "val_every", type=int)
+    flag("--patience", "patience", type=int)
+    flag("--seed", "seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,28 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen_defaults = SynthSpec()
     p_gen = sub.add_parser("gen-data", help="generate a synthetic embedding dataset")
     p_gen.add_argument("--out", required=True, help="output embedding file")
-    p_gen.add_argument("--identities", type=int, default=gen_defaults.num_identities)
-    p_gen.add_argument(
-        "--unmasked-per-id", type=int, default=gen_defaults.samples_per_identity_unmasked
-    )
-    p_gen.add_argument(
-        "--masked-per-id", type=int, default=gen_defaults.samples_per_identity_masked
-    )
-    p_gen.add_argument("--dim", type=int, default=gen_defaults.d)
-    p_gen.add_argument("--sigma", type=float, default=gen_defaults.intra_class_sigma)
-    p_gen.add_argument("--mask-strength", type=float, default=gen_defaults.mask_strength)
-    p_gen.add_argument("--mask-noise", type=float, default=gen_defaults.mask_noise_sigma)
-    p_gen.add_argument("--seed", type=int, default=gen_defaults.seed)
-    p_gen.add_argument(
-        "--split",
-        type=float,
-        nargs=4,
-        default=list(gen_defaults.split),
-        metavar=("TRAIN", "VAL", "REF", "PROBE"),
-    )
+    flag = partial(_field_flag, p_gen, SynthSpec())
+    flag("--identities", "num_identities", type=int)
+    flag("--unmasked-per-id", "samples_per_identity_unmasked", type=int)
+    flag("--masked-per-id", "samples_per_identity_masked", type=int)
+    flag("--dim", "d", type=int)
+    flag("--sigma", "intra_class_sigma", type=float)
+    flag("--mask-strength", "mask_strength", type=float)
+    flag("--mask-noise", "mask_noise_sigma", type=float)
+    flag("--seed", "seed", type=int)
+    flag("--split", "split", type=float, nargs=4, metavar=("TRAIN", "VAL", "REF", "PROBE"))
     p_gen.set_defaults(func=cmd_gen_data)
 
     p_train = sub.add_parser("train", help="train an unmasking model")

@@ -6,10 +6,12 @@ Checkpoints: magic ``EUM1``, u32 version (=1), u32 d, f64 leaky slope,
 f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b, gamma,
 beta, running_mean, running_var, all f32. Everything little-endian. The
 model has no b: it is written as zeros, and a stored b is folded into
-running_mean on read. Malformed files, NaN or Inf values included, raise
-CorruptRecord with the byte offset of the first bad record, layer or header
-field (for CSV, its line number). A checkpoint header must hold a finite
-slope, an epsilon in (0, inf) and a momentum in [0, 1].
+running_mean on read. Both formats share one frame (_Frame): magic,
+version, d >= 1, the format's further header fields, then a body of equal
+units. Malformed files, NaN or Inf values included, raise CorruptRecord with
+the byte offset of the first bad record, layer or header field (for CSV,
+its line number). A checkpoint header must hold a finite slope, an epsilon
+in (0, inf) and a momentum in [0, 1].
 
 A Dataset holds the records as columns (identity, sample, masked, split
 code, vectors); every reader returns one and every writer takes one.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +43,6 @@ FORMAT_VERSION = 1
 
 SPLIT_NAMES = ("train", "val", "eval_ref", "eval_probe")
 SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
-
-_EMB_HEADER = struct.Struct("<4sIIQ")
-_CKPT_HEADER = struct.Struct("<4sIIddd")
 
 
 def _record_dtype(d: int) -> np.dtype:
@@ -101,58 +101,86 @@ def _corrupt(path, what: str, offset: int) -> CorruptRecord:
     return CorruptRecord(f"{path}: {what} (byte offset {offset})", offset)
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """The layout EMB1 and EUM1 share: magic(4s) version(u32) d(u32) and the
+    format's further header fields, then a body of equal units (records or
+    layers). A file is read or written whole; every check refuses at the
+    byte offset of the first bad header field or unit."""
+
+    magic: bytes
+    header: struct.Struct
+    unit: str
+
+    def write(self, path, d: int, fields: tuple, body: np.ndarray) -> None:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(self.header.pack(self.magic, FORMAT_VERSION, d, *fields))
+                fh.write(body)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+
+    def read(self, path) -> tuple[bytes, int, list]:
+        """The file's bytes, its d (at least 1) and the header fields after d."""
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+        if len(raw) < self.header.size:
+            raise BadMagic(f"{path}: file shorter than header")
+        magic, version, d, *fields = self.header.unpack_from(raw, 0)
+        if magic != self.magic:
+            raise BadMagic(f"{path}: magic {magic!r}, expected {self.magic!r}")
+        if version != FORMAT_VERSION:
+            raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
+        if d < 1:
+            raise _corrupt(path, f"dimension {d}", 8)
+        return raw, d, fields
+
+    def body(self, path, raw: bytes, count: int, unit_bytes: int) -> np.ndarray:
+        """The count units after the header as rows of unit_bytes, a read-only
+        u1 view of raw; a body of any other size is refused at its first
+        incomplete unit."""
+        size, expected = len(raw) - self.header.size, count * unit_bytes
+        if size != expected:
+            whole = min(size, expected) // unit_bytes
+            what = f"body holds {size} bytes, header promises {expected}"
+            raise _corrupt(path, what, self.header.size + whole * unit_bytes)
+        return np.frombuffer(raw, np.uint8, offset=self.header.size).reshape(count, unit_bytes)
+
+    def refuse(self, path, units: np.ndarray, bad: np.ndarray, what: str) -> None:
+        """Raise at the first of the units where bad is true, if any."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            offset = self.header.size + i * units.strides[0]
+            raise _corrupt(path, f"{self.unit} {i} has {what}", offset)
+
+
+_EMB = _Frame(EMB_MAGIC, struct.Struct("<4sIIQ"), "record")
+_CKPT = _Frame(CKPT_MAGIC, struct.Struct("<4sIIddd"), "layer")
+
+
 def write_embeddings(path, ds: Dataset) -> None:
     arr = np.empty(len(ds), dtype=_record_dtype(ds.d))
     arr["identity"] = ds.identity
     arr["sample"] = ds.sample
     arr["masked"] = ds.masked
     arr["split"] = ds.split
-    arr["vector"] = ds.vectors.astype("<f4")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_EMB_HEADER.pack(EMB_MAGIC, FORMAT_VERSION, ds.d, len(ds)))
-            fh.write(arr.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    arr["vector"] = ds.vectors
+    _EMB.write(path, ds.d, (len(ds),), arr)
 
 
 def read_embeddings(path) -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-    if len(raw) < _EMB_HEADER.size:
-        raise BadMagic(f"{path}: file shorter than header")
-    magic, version, d, count = _EMB_HEADER.unpack_from(raw, 0)
-    if magic != EMB_MAGIC:
-        raise BadMagic(f"{path}: magic {magic!r}, expected {EMB_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
-
+    raw, d, (count,) = _EMB.read(path)
     dtype = _record_dtype(d)
-    body = raw[_EMB_HEADER.size:]
-    expected = count * dtype.itemsize
-    if len(body) != expected:
-        whole = min(len(body), expected) // dtype.itemsize
-        offset = _EMB_HEADER.size + whole * dtype.itemsize
-        raise _corrupt(path, f"body holds {len(body)} bytes, header promises {expected}", offset)
-    arr = np.frombuffer(body, dtype=dtype)
-    for bad, what in (
-        (arr["split"] >= len(SPLIT_NAMES), "an unknown split code"),
-        (~np.isfinite(arr["vector"]).all(axis=1), "a non-finite vector"),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _corrupt(path, f"record {i} has {what}", _EMB_HEADER.size + i * dtype.itemsize)
-    return Dataset(
-        identity=arr["identity"].astype(np.int64),
-        sample=arr["sample"].astype(np.int64),
-        masked=arr["masked"].astype(bool),
-        split=arr["split"].copy(),
-        vectors=arr["vector"].astype(np.float64),
-    )
+    arr = _EMB.body(path, raw, count, dtype.itemsize).view(dtype)[:, 0]
+    _EMB.refuse(path, arr, arr["split"] >= len(SPLIT_NAMES), "an unknown split code")
+    _EMB.refuse(path, arr, ~np.isfinite(arr["vector"]).all(axis=1), "a non-finite vector")
+    # Dataset converts each column into an array of its own but split,
+    # which is u1 already and so is copied out of the file's bytes here
+    split = arr["split"].copy()
+    return Dataset(arr["identity"], arr["sample"], arr["masked"], split, arr["vector"])
 
 
 def export_csv(path, ds: Dataset) -> None:
@@ -214,59 +242,20 @@ def write_checkpoint(path, params: EumParameters) -> None:
     zeros = np.zeros((NUM_LAYERS, d))  # the EUM1 bias slot
     vectors = (params.bn_gamma, params.bn_beta, params.bn_running_mean, params.bn_running_var)
     layers = np.concatenate([params.weights.reshape(NUM_LAYERS, -1), zeros, *vectors], axis=1)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(
-                _CKPT_HEADER.pack(
-                    CKPT_MAGIC,
-                    FORMAT_VERSION,
-                    d,
-                    params.leaky_slope,
-                    params.bn_epsilon,
-                    params.bn_momentum,
-                )
-            )
-            fh.write(layers.astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    hyper = (params.leaky_slope, params.bn_epsilon, params.bn_momentum)
+    _CKPT.write(path, d, hyper, layers.astype("<f4"))
 
 
 def read_checkpoint(path) -> EumParameters:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-    if len(raw) < _CKPT_HEADER.size:
-        raise BadMagic(f"{path}: file shorter than header")
-    magic, version, d, slope, epsilon, momentum = _CKPT_HEADER.unpack_from(raw, 0)
-    if magic != CKPT_MAGIC:
-        raise BadMagic(f"{path}: magic {magic!r}, expected {CKPT_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
-    if d < 1:
-        raise _corrupt(path, f"dimension {d}", 8)
+    raw, d, (slope, epsilon, momentum) = _CKPT.read(path)
     if not math.isfinite(slope):
         raise _corrupt(path, f"leaky slope {slope!r}", 12)
     if not 0.0 < epsilon < math.inf:
         raise _corrupt(path, f"bn epsilon {epsilon!r}", 20)
     if not 0.0 <= momentum <= 1.0:
         raise _corrupt(path, f"bn momentum {momentum!r}", 28)
-
-    layer_bytes = (d * d + 5 * d) * 4
-    body = len(raw) - _CKPT_HEADER.size
-    expected = NUM_LAYERS * layer_bytes
-    if body != expected:
-        whole = min(body, expected) // layer_bytes
-        offset = _CKPT_HEADER.size + whole * layer_bytes
-        raise _corrupt(path, f"body holds {body} bytes, d={d} needs {expected}", offset)
-    layers = np.frombuffer(raw, dtype="<f4", offset=_CKPT_HEADER.size).reshape(NUM_LAYERS, -1)
-    bad = ~np.isfinite(layers).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        offset = _CKPT_HEADER.size + i * layer_bytes
-        raise _corrupt(path, f"layer {i} has a non-finite value", offset)
+    layers = _CKPT.body(path, raw, NUM_LAYERS, (d * d + 5 * d) * 4).view("<f4")
+    _CKPT.refuse(path, layers, ~np.isfinite(layers).all(axis=1), "a non-finite value")
     w, b, gamma, beta, mean, var = np.split(
         layers.astype(np.float64), d * d + d * np.arange(5), axis=1
     )

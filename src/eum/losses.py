@@ -33,15 +33,12 @@ class TripletBatch:
     Anchors are masked embeddings (the network's input), positives are
     unmasked embeddings of the same identity, negatives are masked
     embeddings of a different identity. The sampler draws them from a split
-    normalized once, so all three are unit rows. Identity labels ride along
-    for audit.
+    normalized once, so all three are unit rows.
     """
 
-    anchors: np.ndarray            # N x d
-    positives: np.ndarray          # N x d
-    negatives: np.ndarray          # N x d
-    identity: np.ndarray           # N, anchor == positive identity
-    negative_identity: np.ndarray  # N
+    anchors: np.ndarray    # N x d
+    positives: np.ndarray  # N x d
+    negatives: np.ndarray  # N x d
 
 
 @dataclass

@@ -153,18 +153,15 @@ class _TripletIndex:
 
 
 def sample_triplets(
-    dataset: Dataset,
-    batch_size: int,
-    rng: CounterRng,
-    index: _TripletIndex | None = None,
+    dataset: Dataset, batch_size: int, rng: CounterRng, idx: _TripletIndex
 ) -> TripletBatch:
-    """One batch: record-uniform masked anchors, identity-matched unmasked
-    positives, masked negatives from a uniformly chosen other identity.
+    """One batch from dataset through its triplet index idx: record-uniform
+    masked anchors, identity-matched unmasked positives, masked negatives
+    from a uniformly chosen other identity.
 
     One draw of 4 x batch_size uniforms, used row by row for the anchor,
     the positive, the other identity and the negative.
     """
-    idx = index if index is not None else _TripletIndex(dataset)
     u_anchor, u_pos, u_other, u_neg = rng.u01(4 * batch_size).reshape(4, batch_size)
 
     a_flat = _bounded(u_anchor, len(idx.flat_masked))
@@ -183,8 +180,6 @@ def sample_triplets(
         anchors=dataset.vectors[anchor_rows],
         positives=dataset.vectors[pos_rows],
         negatives=dataset.vectors[neg_rows],
-        identity=idx.ids[anchor_ident],
-        negative_identity=idx.ids[neg_ident],
     )
 
 
@@ -226,15 +221,13 @@ def _unit_split(dataset: Dataset, name: str) -> Dataset:
     return split
 
 
-def build_val_batches(
-    dataset: Dataset, cfg: TrainConfig, n_batches: int = _VAL_BATCHES
-) -> list[TripletBatch]:
+def build_val_batches(dataset: Dataset, cfg: TrainConfig) -> list[TripletBatch]:
     """Validation triplets of unit rows, frozen: drawn from a stream
     independent of the training batches."""
     val = _unit_split(dataset, "val")
     rng = CounterRng(cfg.seed, _STREAM_VALSET)
     index = _TripletIndex(val)
-    return [sample_triplets(val, cfg.batch_size, rng, index) for _ in range(n_batches)]
+    return [sample_triplets(val, cfg.batch_size, rng, index) for _ in range(_VAL_BATCHES)]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior on small datasets, run in process."""
 
+import argparse
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
 from eum._threads import requested_threads
-from eum.cli import COMPARE_COLUMNS, main
+from eum.cli import COMPARE_COLUMNS, build_parser, main
 from eum.fileio import read_checkpoint, read_embeddings, write_embeddings
+from eum.synth import SynthSpec
+from eum.training import TrainConfig
 
 GEN_ARGS = [
     "--identities", "20",
@@ -54,12 +58,19 @@ def model_dir(workdir, data_file):
     return out
 
 
+def _manifest_text(data_file) -> str:
+    return data_file.with_name(data_file.name + ".manifest.json").read_text()
+
+
+def _manifest(data_file) -> dict:
+    return json.loads(_manifest_text(data_file))
+
+
 def test_gen_data_outputs(data_file):
     assert data_file.exists()
-    assert data_file.with_name(data_file.name + ".spec.json").exists()
-    manifest = json.loads(
-        data_file.with_name(data_file.name + ".manifest.json").read_text()
-    )
+    # the spec is written once, in the manifest
+    assert not data_file.with_name(data_file.name + ".spec.json").exists()
+    manifest = _manifest(data_file)
     assert manifest["command"] == "gen-data"
     assert manifest["spec"]["num_identities"] == 20
     ds = read_embeddings(data_file)
@@ -79,9 +90,9 @@ def test_gen_data_rerun_byte_identical(workdir, data_file):
     again = workdir / "again.emb"
     assert main(["gen-data", "--out", str(again)] + GEN_ARGS) == 0
     assert again.read_bytes() == data_file.read_bytes()
-    spec_a = again.with_name(again.name + ".spec.json").read_text()
-    spec_b = data_file.with_name(data_file.name + ".spec.json").read_text()
-    assert spec_a == spec_b
+    # the spec lives in the manifest, which holds no path, so it is
+    # reproduced byte for byte as a whole
+    assert _manifest_text(again) == _manifest_text(data_file)
 
 
 def test_train_outputs(model_dir):
@@ -266,3 +277,92 @@ def test_thread_cap_parsing(monkeypatch):
     assert requested_threads() == 1
     monkeypatch.delenv("EUM_THREADS")
     assert requested_threads() == 1
+
+
+# model hyper-parameters the CLI leaves at their defaults
+UNFLAGGED = {"leaky_slope", "bn_epsilon", "bn_momentum"}
+
+
+def _subcommand_dests(name: str) -> list[str]:
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.dest for a in sub.choices[name]._actions if a.option_strings]
+
+
+@pytest.mark.parametrize(
+    "command, cls, paths",
+    [
+        ("gen-data", SynthSpec, {"out"}),
+        ("train", TrainConfig, {"data", "out"}),
+        ("compare", TrainConfig, {"data", "out"}),
+    ],
+)
+def test_every_field_is_the_dest_of_one_flag(command, cls, paths):
+    dests = _subcommand_dests(command)
+    for f in fields(cls):
+        assert dests.count(f.name) == (0 if f.name in UNFLAGGED else 1), f.name
+    # every other flag names a file
+    assert set(dests) - {f.name for f in fields(cls)} == {"help"} | paths
+
+
+def test_non_default_flags_round_trip_into_the_manifests(workdir, data_file):
+    spec = SynthSpec(
+        num_identities=9,
+        samples_per_identity_unmasked=3,
+        samples_per_identity_masked=2,
+        d=5,
+        intra_class_sigma=0.25,
+        mask_strength=0.4,
+        mask_noise_sigma=0.125,
+        seed=3,
+        split=(0.4, 0.2, 0.25, 0.15),
+    )
+    gen_argv = [
+        "--identities", "9",
+        "--unmasked-per-id", "3",
+        "--masked-per-id", "2",
+        "--dim", "5",
+        "--sigma", "0.25",
+        "--mask-strength", "0.4",
+        "--mask-noise", "0.125",
+        "--seed", "3",
+        "--split", "0.4", "0.2", "0.25", "0.15",
+    ]
+    assert all(getattr(spec, f.name) != getattr(SynthSpec(), f.name) for f in fields(spec))
+    out = workdir / "flags.emb"
+    assert main(["gen-data", "--out", str(out)] + gen_argv) == 0
+    assert _manifest(out)["spec"] == spec.as_dict()
+
+    cfg = TrainConfig(
+        loss_kind="triplet",
+        margin=0.75,
+        batch_size=8,
+        initial_lr=0.05,
+        lr_drop_iters=(3, 7),
+        lr_drop_factor=4.0,
+        max_iters=10,
+        val_every=5,
+        patience=3,
+        seed=9,
+    )
+    train_argv = [
+        "--loss", "triplet",
+        "--margin", "0.75",
+        "--batch-size", "8",
+        "--lr", "0.05",
+        "--lr-drops", "3", "7",
+        "--lr-drop-factor", "4",
+        "--max-iters", "10",
+        "--val-every", "5",
+        "--patience", "3",
+        "--seed", "9",
+    ]
+    flagged = [f.name for f in fields(TrainConfig) if f.name not in UNFLAGGED]
+    assert all(getattr(cfg, name) != getattr(TrainConfig(), name) for name in flagged)
+    for command in ("train", "compare"):
+        run = workdir / f"flags_{command}"
+        argv = [command, "--data", str(data_file), "--out", str(run)] + train_argv
+        assert main(argv) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        # the loss kind of compare's base config is the flag's, though it trains both
+        assert manifest["config"] == json.loads(json.dumps(asdict(cfg))), command

@@ -149,6 +149,15 @@ def test_embeddings_non_finite_vector_offset(tmp_path, bad):
     assert err.value.offset == struct.calcsize("<4sIIQ") + 3 * (10 + 4 * 4)
 
 
+def test_embeddings_zero_dimension(tmp_path):
+    # records of d = 0 would load as empty vectors that no norm can scale
+    path = tmp_path / "d0.emb"
+    path.write_bytes(struct.pack("<4sIIQ", EMB_MAGIC, 1, 0, 2) + b"\0" * 20)
+    with pytest.raises(CorruptRecord, match="dimension 0") as err:
+        read_embeddings(path)
+    assert err.value.offset == 8  # the d field
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         read_embeddings(tmp_path / "absent.emb")
@@ -367,6 +376,38 @@ def test_checkpoint_round_trip_and_truncation_property(tmp_path_factory, d, seed
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), data=st.data())
+def test_embeddings_truncation_and_non_finite_property(tmp_path_factory, d, n, data):
+    ds = sample_dataset(d=d, n=n)
+    path = tmp_path_factory.mktemp("emb") / "x.emb"
+    write_embeddings(path, ds)
+    raw = path.read_bytes()
+    header, record = struct.calcsize("<4sIIQ"), 10 + 4 * d
+    assert len(raw) == header + n * record
+    for cut in range(header):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(BadMagic):
+            read_embeddings(path)
+    # every body short of the whole, and one byte too long, is refused at
+    # the first incomplete record
+    for body in [*range(n * record), n * record + 1]:
+        path.write_bytes((raw + b"\0")[: header + body])
+        with pytest.raises(CorruptRecord) as err:
+            read_embeddings(path)
+        assert err.value.offset == header + min(body, n * record) // record * record
+    # a NaN or Inf cell anywhere in a record names that record
+    i = data.draw(st.integers(0, n - 1), label="record")
+    j = data.draw(st.integers(0, d - 1), label="cell")
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    broken = bytearray(raw)
+    struct.pack_into("<f", broken, header + i * record + 10 + 4 * j, bad)
+    path.write_bytes(bytes(broken))
+    with pytest.raises(CorruptRecord, match=f"record {i} has a non-finite vector") as err:
+        read_embeddings(path)
+    assert err.value.offset == header + i * record
 
 
 @st.composite

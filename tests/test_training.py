@@ -11,6 +11,7 @@ from eum.rng import CounterRng
 from eum.training import (
     LOSS_KINDS,
     TrainConfig,
+    _TripletIndex,
     build_val_batches,
     lr_at,
     sample_triplets,
@@ -59,21 +60,31 @@ def test_train_config_validation():
     TrainConfig().validate()
 
 
+def _sample(dataset: Dataset, batch_size: int, rng: CounterRng):
+    return sample_triplets(dataset, batch_size, rng, _TripletIndex(dataset))
+
+
 def test_sample_triplets_contracts(tiny_dataset):
     train_split = tiny_dataset.for_split("train")
+    # every vector is distinct, so it names its row's identity and kind
+    columns = zip(train_split.vectors, train_split.identity, train_split.masked)
+    owner = {v.tobytes(): (int(i), bool(m)) for v, i, m in columns}
+    assert len(owner) == len(train_split)
     for seed in range(10):
         rng = CounterRng(seed, stream=31)
-        batch = sample_triplets(train_split, 32, rng)
+        batch = _sample(train_split, 32, rng)
         assert batch.anchors.shape == (32, tiny_dataset.d)
         assert batch.positives.shape == batch.negatives.shape == batch.anchors.shape
-        assert batch.identity.shape == batch.negative_identity.shape == (32,)
-        # anchors/negatives come from masked rows, positives from unmasked
-        masked_set = {v.tobytes() for v in train_split.vectors[train_split.masked]}
-        unmasked_set = {v.tobytes() for v in train_split.vectors[~train_split.masked]}
-        assert all(a.tobytes() in masked_set for a in batch.anchors)
-        assert all(n.tobytes() in masked_set for n in batch.negatives)
-        assert all(p.tobytes() in unmasked_set for p in batch.positives)
-        assert np.all(batch.identity != batch.negative_identity)
+        anchors, positives, negatives = (
+            [owner[v.tobytes()] for v in rows]
+            for rows in (batch.anchors, batch.positives, batch.negatives)
+        )
+        # anchors/negatives come from masked rows, positives from unmasked;
+        # a positive shares its anchor's identity, a negative does not
+        assert all(m for _, m in anchors + negatives)
+        assert not any(m for _, m in positives)
+        assert [i for i, _ in positives] == [i for i, _ in anchors]
+        assert all(a != n for (a, _), (n, _) in zip(anchors, negatives))
 
 
 def _scrambled_dataset() -> Dataset:
@@ -100,16 +111,18 @@ def _scrambled_dataset() -> Dataset:
 def test_sample_triplets_matches_per_identity_oracle():
     # the row index is the vector, so equal vectors mean equal rows
     ds = _scrambled_dataset()
+    index = _TripletIndex(ds)
     for seed in range(8):
         rng, ref_rng = CounterRng(seed, stream=31), CounterRng(seed, stream=31)
         for _ in range(3):
-            batch = sample_triplets(ds, 33, rng)
+            batch = sample_triplets(ds, 33, rng, index)
             a, p, n, a_ids, n_ids = oracle_sample_triplets(ds, 33, ref_rng)
             assert np.array_equal(batch.anchors[:, 0], a)
             assert np.array_equal(batch.positives[:, 0], p)
             assert np.array_equal(batch.negatives[:, 0], n)
-            assert np.array_equal(batch.identity, a_ids)
-            assert np.array_equal(batch.negative_identity, n_ids)
+            # the vector is the row index, and the row gives the identity
+            assert np.array_equal(ds.identity[batch.anchors[:, 0].astype(int)], a_ids)
+            assert np.array_equal(ds.identity[batch.negatives[:, 0].astype(int)], n_ids)
         # both consumed the same words, so later draws stay aligned
         assert np.array_equal(rng.u64(1), ref_rng.u64(1))
 
@@ -123,15 +136,15 @@ def test_sample_triplets_draws_uniforms_once(tiny_dataset, monkeypatch):
         return real_u01(rng, n)
 
     monkeypatch.setattr(CounterRng, "u01", counting_u01)
-    sample_triplets(tiny_dataset.for_split("train"), 16, CounterRng(0, stream=31))
+    _sample(tiny_dataset.for_split("train"), 16, CounterRng(0, stream=31))
     assert calls == [4 * 16]
 
 
 def test_sample_triplets_deterministic(tiny_dataset):
-    a = sample_triplets(tiny_dataset, 16, CounterRng(7, stream=31))
-    b = sample_triplets(tiny_dataset, 16, CounterRng(7, stream=31))
-    assert np.array_equal(a.anchors, b.anchors)
-    assert np.array_equal(a.negative_identity, b.negative_identity)
+    a = _sample(tiny_dataset, 16, CounterRng(7, stream=31))
+    b = _sample(tiny_dataset, 16, CounterRng(7, stream=31))
+    for role in ("anchors", "positives", "negatives"):
+        assert np.array_equal(getattr(a, role), getattr(b, role)), role
 
 
 def test_sample_triplets_needs_two_identities():
@@ -144,7 +157,7 @@ def test_sample_triplets_needs_two_identities():
         vectors=vecs,
     )
     with pytest.raises(InsufficientIdentities):
-        sample_triplets(ds, 4, CounterRng(0, stream=31))
+        _TripletIndex(ds)
 
 
 def test_sample_triplets_needs_both_kinds_per_identity():
@@ -159,7 +172,7 @@ def test_sample_triplets_needs_both_kinds_per_identity():
         vectors=vecs,
     )
     with pytest.raises(MissingPairForIdentity, match="^identity 5: 0 masked, 2 unmasked records$"):
-        sample_triplets(ds, 4, CounterRng(0, stream=31))
+        _TripletIndex(ds)
 
 
 def test_train_zero_iters_returns_fresh_init(tiny_dataset):
