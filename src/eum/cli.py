@@ -26,7 +26,7 @@ from .fileio import (
     write_checkpoint,
     write_embeddings,
 )
-from .metrics import VerificationReport, compute_scores, report, roc
+from .metrics import ScoreSet, VerificationReport, compute_scores, report, roc
 from .model import EumParameters
 from .synth import SynthSpec, gen_dataset, phenomenon_report
 from .training import LOSS_KINDS, TrainConfig, TrainHistory, train
@@ -39,30 +39,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    _write_json(out_dir / "manifest.json", payload)
-
-
 def _write_history(path: Path, history: TrainHistory) -> None:
     path.write_text("\n".join(history.csv_rows()) + "\n")
 
 
-def select_pairing(dataset: Dataset, setting: str) -> tuple[Dataset, Dataset]:
-    """Reference/probe subsets for a verification setting.
-
-    ff compares unmasked references with unmasked probes, fm unmasked
-    references with masked probes, mm masked with masked.
-    """
-    if setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+def _scores(dataset: Dataset, setting: str, model: EumParameters | None) -> ScoreSet:
+    """Scores of a verification setting: ff pairs unmasked references with
+    unmasked probes, fm unmasked references with masked probes, mm masked
+    with masked; a model, if given, maps the masked records."""
     refs = dataset.for_split("eval_ref", masked=(setting == "mm"))
     probes = dataset.for_split("eval_probe", masked=(setting in ("fm", "mm")))
-    return refs, probes
-
-
-def run_eval(dataset: Dataset, setting: str, model: EumParameters | None) -> VerificationReport:
-    refs, probes = select_pairing(dataset, setting)
-    return report(compute_scores(refs, probes, eum=model))
+    return compute_scores(refs, probes, eum=model)
 
 
 def _report_csv_cells(rep: VerificationReport) -> str:
@@ -71,10 +58,9 @@ def _report_csv_cells(rep: VerificationReport) -> str:
 
 
 def _from_args(cls, args: argparse.Namespace):
-    """The dataclass cls from the parsed flags whose dest is one of its
-    fields; a field without a flag keeps its default, list values become
-    tuples."""
-    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    """The dataclass cls from the parsed flags, one per field, each with the
+    field's name as its dest; list values become tuples."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
@@ -104,8 +90,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(out_dir / "model.eum", params)
     _write_history(out_dir / "history.csv", history)
-    _write_manifest(
-        out_dir,
+    _write_json(
+        out_dir / "manifest.json",
         {
             "command": "train",
             "data": args.data,
@@ -124,18 +110,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = read_embeddings(args.data)
     model = read_checkpoint(args.model) if args.model else None
-    refs, probes = select_pairing(dataset, args.setting)
-    scores = compute_scores(refs, probes, eum=model)
+    scores = _scores(dataset, args.setting, model)
     rep = report(scores)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", rep.as_dict())
+    _write_json(out_dir / "report.json", asdict(rep))
     points = roc(scores)
     roc_lines = ["fmr,tpr"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in points]
     (out_dir / "roc.csv").write_text("\n".join(roc_lines) + "\n")
-    _write_manifest(
-        out_dir,
+    _write_json(
+        out_dir / "manifest.json",
         {
             "command": "eval",
             "data": args.data,
@@ -152,11 +137,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    base_cfg = _from_args(TrainConfig, args)
+    base_cfg.validate()  # before the output directory is made
     dataset = read_embeddings(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base_cfg = _from_args(TrainConfig, args)
     models: dict[str, EumParameters | None] = {"baseline": None}
     for kind in LOSS_KINDS:
         cfg = replace(base_cfg, loss_kind=kind)
@@ -167,15 +153,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         models[kind] = read_checkpoint(path)
         _write_history(out_dir / f"history_{kind}.csv", history)
 
-    baseline_ff = run_eval(dataset, "ff", None)
+    baseline_ff = report(_scores(dataset, "ff", None))
     lines = [f"# baseline ff eer={baseline_ff.eer!r}", COMPARE_COLUMNS]
     for setting in ("fm", "mm"):
         for variant, model in models.items():
-            rep = run_eval(dataset, setting, model)
+            rep = report(_scores(dataset, setting, model))
             lines.append(f"{setting},{variant},{_report_csv_cells(rep)}")
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out_dir,
+    _write_json(
+        out_dir / "manifest.json",
         {
             "command": "compare",
             "data": args.data,

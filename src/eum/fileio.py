@@ -1,10 +1,10 @@
 """Binary and CSV dataset files, model checkpoints.
 
 Embedding files: magic ``EMB1``, u32 version (=1), u32 d, u64 count, then
-per record u32 identity, u32 sample, u8 masked, u8 split, f32*d vector.
-Checkpoints: magic ``EUM1``, u32 version (=1), u32 d, f64 leaky slope,
-f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b, gamma,
-beta, running_mean, running_var, all f32. Everything little-endian. The
+per record u32 identity, u32 sample, u8 masked (0 or 1), u8 split, f32*d
+vector. Checkpoints: magic ``EUM1``, u32 version (=1), u32 d, f64 leaky
+slope, f64 bn epsilon, f64 bn momentum, then per layer W (row-major), b,
+gamma, beta, running_mean, running_var, all f32. Everything little-endian. The
 model has no b: it is written as zeros, and a stored b is folded into
 running_mean on read. Both formats share one frame (_Frame): magic,
 version, d >= 1, the format's further header fields, then a body of equal
@@ -45,15 +45,22 @@ SPLIT_NAMES = ("train", "val", "eval_ref", "eval_probe")
 SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
 
-def _record_dtype(d: int) -> np.dtype:
-    return np.dtype(
-        [
-            ("identity", "<u4"),
-            ("sample", "<u4"),
-            ("masked", "u1"),
-            ("split", "u1"),
-            ("vector", "<f4", (d,)),
-        ]
+def _record_bytes(d: int) -> int:
+    """Size of one EMB1 record: two u32, two u8, then d f32."""
+    return 10 + 4 * d
+
+
+def _record_columns(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """identity, sample, masked, split and vector of EMB1 records held as
+    u1 rows, each a view of those rows: reading a column reads the rows and
+    writing one writes them. Views, not a record dtype, because numpy
+    refuses a record dtype whose d does not fit a C int."""
+    return (
+        rows[:, 0:4].view("<u4")[:, 0],
+        rows[:, 4:8].view("<u4")[:, 0],
+        rows[:, 8],
+        rows[:, 9],
+        rows[:, 10:].view("<f4"),
     )
 
 
@@ -162,25 +169,23 @@ _CKPT = _Frame(CKPT_MAGIC, struct.Struct("<4sIIddd"), "layer")
 
 
 def write_embeddings(path, ds: Dataset) -> None:
-    arr = np.empty(len(ds), dtype=_record_dtype(ds.d))
-    arr["identity"] = ds.identity
-    arr["sample"] = ds.sample
-    arr["masked"] = ds.masked
-    arr["split"] = ds.split
-    arr["vector"] = ds.vectors
-    _EMB.write(path, ds.d, (len(ds),), arr)
+    rows = np.empty((len(ds), _record_bytes(ds.d)), dtype=np.uint8)
+    values = (ds.identity, ds.sample, ds.masked, ds.split, ds.vectors)
+    for column, value in zip(_record_columns(rows), values):
+        column[...] = value
+    _EMB.write(path, ds.d, (len(ds),), rows)
 
 
 def read_embeddings(path) -> Dataset:
     raw, d, (count,) = _EMB.read(path)
-    dtype = _record_dtype(d)
-    arr = _EMB.body(path, raw, count, dtype.itemsize).view(dtype)[:, 0]
-    _EMB.refuse(path, arr, arr["split"] >= len(SPLIT_NAMES), "an unknown split code")
-    _EMB.refuse(path, arr, ~np.isfinite(arr["vector"]).all(axis=1), "a non-finite vector")
+    rows = _EMB.body(path, raw, count, _record_bytes(d))
+    identity, sample, masked, split, vectors = _record_columns(rows)
+    _EMB.refuse(path, rows, masked > 1, "a masked byte other than 0 or 1")
+    _EMB.refuse(path, rows, split >= len(SPLIT_NAMES), "an unknown split code")
+    _EMB.refuse(path, rows, ~np.isfinite(vectors).all(axis=1), "a non-finite vector")
     # Dataset converts each column into an array of its own but split,
     # which is u1 already and so is copied out of the file's bytes here
-    split = arr["split"].copy()
-    return Dataset(arr["identity"], arr["sample"], arr["masked"], split, arr["vector"])
+    return Dataset(identity, sample, masked, split.copy(), vectors)
 
 
 def export_csv(path, ds: Dataset) -> None:

@@ -47,19 +47,17 @@ class DistanceTriple:
     d3 (positive-negative) between unit rows.
 
     The unit anchors with their pre-normalization norms, and the positives
-    and negatives (unit rows as given), are kept when the triple was
-    produced by compute_distances; they are what the loss gradients chain
-    through. Hand-built triples (distances only) still support loss values,
-    just not gradients.
+    and negatives (unit rows as given), are what the loss gradients chain
+    through.
     """
 
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
-    unit_anchor: np.ndarray | None = None
-    unit_pos: np.ndarray | None = None
-    unit_neg: np.ndarray | None = None
-    anchor_norm: np.ndarray | None = None
+    unit_anchor: np.ndarray
+    unit_pos: np.ndarray
+    unit_neg: np.ndarray
+    anchor_norm: np.ndarray
 
     @property
     def n(self) -> int:
@@ -75,7 +73,7 @@ class DistanceTriple:
 @dataclass
 class LossResult:
     loss: float
-    grad_anchor_out: np.ndarray | None  # N x d, w.r.t. raw (unnormalized) anchor outputs
+    grad_anchor_out: np.ndarray  # N x d, w.r.t. raw (unnormalized) anchor outputs
     branch: Branch
     distances: DistanceTriple
 
@@ -120,13 +118,11 @@ def _hinge_loss(dist: DistanceTriple, m: float, far, pull, branch: Branch) -> Lo
     active = hinge > 0
     loss = float(np.sum(np.maximum(hinge, 0.0)) / n)
 
-    grad = None
-    if dist.unit_anchor is not None:
-        g_unit = (2.0 / n) * active[:, None] * (pull - dist.unit_pos)
-        # d(unit)/d(raw) = (I - u u^T) / ||raw||, applied row-wise
-        u = dist.unit_anchor
-        proj = np.sum(g_unit * u, axis=1, keepdims=True)
-        grad = (g_unit - proj * u) / dist.anchor_norm[:, None]
+    g_unit = (2.0 / n) * active[:, None] * (pull - dist.unit_pos)
+    # d(unit)/d(raw) = (I - u u^T) / ||raw||, applied row-wise
+    u = dist.unit_anchor
+    proj = np.sum(g_unit * u, axis=1, keepdims=True)
+    grad = (g_unit - proj * u) / dist.anchor_norm[:, None]
     return LossResult(loss=loss, grad_anchor_out=grad, branch=branch, distances=dist)
 
 

@@ -14,7 +14,7 @@ size exactly once, as in the sweep, so results are bit-identical to it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +72,6 @@ class VerificationReport:
     auc: float
     n_genuine: int
     n_imposter: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def eer(scores: ScoreSet) -> tuple[float, float]:

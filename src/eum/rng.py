@@ -43,24 +43,13 @@ def _bounded(u: np.ndarray, bounds) -> np.ndarray:
     return np.minimum((u * bounds).astype(np.int64), bounds - 1)
 
 
-def _mix64_int(x: int) -> int:
-    """splitmix64 finalizer on a Python int (for scalar setup only)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 class CounterRng:
     """Seeded counter-based generator with independent streams."""
 
     def __init__(self, seed: int, stream: int = 0):
-        seed_word = _mix64_int(seed)
-        stream_word = _mix64_int((stream + _GOLDEN_INT) & _MASK64)
-        self._base = np.uint64(seed_word ^ stream_word)
+        words = np.array([seed & _MASK64, (stream + _GOLDEN_INT) & _MASK64], dtype=np.uint64)
+        seed_word, stream_word = _mix64(words)
+        self._base = seed_word ^ stream_word
         self._counter = 0
 
     def u64(self, n: int) -> np.ndarray:
@@ -77,7 +66,7 @@ class CounterRng:
         """Next n gaussians via Box-Muller (pairs; odd n drops the last)."""
         pairs = (n + 1) // 2
         # u1 in (0, 1] so log never sees zero
-        u1 = ((self.u64(pairs) >> _U64(11)).astype(np.float64) + 1.0) * _TWO53_INV
+        u1 = self.u01(pairs) + _TWO53_INV
         u2 = self.u01(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2

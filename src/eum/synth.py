@@ -12,6 +12,7 @@ the same seed always yields the same records in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,13 +48,15 @@ class SynthSpec:
             raise InvalidSpec("need >= 1 unmasked and >= 1 masked sample per identity")
         if self.d < 1:
             raise InvalidSpec(f"dimension must be >= 1, got {self.d}")
-        if self.intra_class_sigma < 0 or self.mask_noise_sigma < 0:
-            raise InvalidSpec("sigmas must be >= 0")
+        for name in ("intra_class_sigma", "mask_noise_sigma"):
+            sigma = getattr(self, name)
+            if not 0 <= sigma < math.inf:  # also catches NaN
+                raise InvalidSpec(f"{name} must be finite and >= 0, got {sigma}")
         if not 0.0 <= self.mask_strength <= 1.0:
             raise InvalidSpec(f"mask_strength must be in [0, 1], got {self.mask_strength}")
         if len(self.split) != len(SPLIT_NAMES):
             raise InvalidSpec(f"split needs {len(SPLIT_NAMES)} fractions")
-        if any(f < 0 for f in self.split) or abs(sum(self.split) - 1.0) > 1e-9:
+        if not all(f >= 0 for f in self.split) or not abs(sum(self.split) - 1.0) <= 1e-9:
             raise InvalidSpec(f"split fractions must be >= 0 and sum to 1, got {self.split}")
 
     def as_dict(self) -> dict:

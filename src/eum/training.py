@@ -59,15 +59,12 @@ class TrainConfig:
     val_every: int = 500
     patience: int = 12
     seed: int = 0
-    leaky_slope: float = 0.01
-    bn_epsilon: float = 1e-5
-    bn_momentum: float = 0.9
 
     def validate(self) -> None:
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.margin < math.inf:  # also catches NaN
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.patience < 1:
@@ -76,8 +73,10 @@ class TrainConfig:
             raise ValueError(f"val_every must be >= 1, got {self.val_every}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.initial_lr <= 0 or self.lr_drop_factor <= 0:
-            raise ValueError("learning rates and drop factor must be > 0")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
+        if not 0 < self.lr_drop_factor < math.inf:
+            raise ValueError(f"lr_drop_factor must be finite and > 0, got {self.lr_drop_factor}")
         drops = tuple(self.lr_drop_iters)
         if any(b <= a for a, b in zip(drops, drops[1:])):
             raise ValueError(f"lr_drop_iters must be strictly increasing, got {drops}")
@@ -243,9 +242,7 @@ def train(cfg: TrainConfig, dataset: Dataset) -> tuple[EumParameters, TrainHisto
     the one report.
     """
     cfg.validate()
-    params = init_params(
-        dataset.d, cfg.seed, cfg.leaky_slope, cfg.bn_epsilon, cfg.bn_momentum
-    )
+    params = init_params(dataset.d, cfg.seed)
     history = TrainHistory()
     if cfg.max_iters == 0:
         return params, history

@@ -259,6 +259,35 @@ def test_train_non_finite_loss_fails_before_writing(tmp_path, tiny_dataset, caps
     assert not out.exists()
 
 
+NON_FINITE_FLAGS = [
+    ("gen-data", "--sigma {}", "intra_class_sigma"),
+    ("gen-data", "--mask-strength {}", "mask_strength"),
+    ("gen-data", "--mask-noise {}", "mask_noise_sigma"),
+    ("gen-data", "--split {} 0.1 0.2 0.2", "split"),
+    ("train", "--margin {}", "margin"),
+    ("train", "--lr {}", "initial_lr"),
+    ("train", "--lr-drop-factor {}", "lr_drop_factor"),
+    ("compare", "--lr {}", "initial_lr"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, field", NON_FINITE_FLAGS)
+def test_non_finite_config_value_is_refused_before_any_output(
+    tmp_path, data_file, capsys, command, flag, field, value
+):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--out", str(out)] + GEN_ARGS
+    else:
+        argv = [command, "--data", str(data_file), "--out", str(out)] + TRAIN_ARGS
+    assert main(argv + flag.format(value).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_choice_exits_with_usage_error(workdir, data_file):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -279,10 +308,6 @@ def test_thread_cap_parsing(monkeypatch):
     assert requested_threads() == 1
 
 
-# model hyper-parameters the CLI leaves at their defaults
-UNFLAGGED = {"leaky_slope", "bn_epsilon", "bn_momentum"}
-
-
 def _subcommand_dests(name: str) -> list[str]:
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -300,7 +325,7 @@ def _subcommand_dests(name: str) -> list[str]:
 def test_every_field_is_the_dest_of_one_flag(command, cls, paths):
     dests = _subcommand_dests(command)
     for f in fields(cls):
-        assert dests.count(f.name) == (0 if f.name in UNFLAGGED else 1), f.name
+        assert dests.count(f.name) == 1, f.name
     # every other flag names a file
     assert set(dests) - {f.name for f in fields(cls)} == {"help"} | paths
 
@@ -357,8 +382,7 @@ def test_non_default_flags_round_trip_into_the_manifests(workdir, data_file):
         "--patience", "3",
         "--seed", "9",
     ]
-    flagged = [f.name for f in fields(TrainConfig) if f.name not in UNFLAGGED]
-    assert all(getattr(cfg, name) != getattr(TrainConfig(), name) for name in flagged)
+    assert all(getattr(cfg, f.name) != getattr(TrainConfig(), f.name) for f in fields(cfg))
     for command in ("train", "compare"):
         run = workdir / f"flags_{command}"
         argv = [command, "--data", str(data_file), "--out", str(run)] + train_argv

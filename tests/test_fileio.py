@@ -158,6 +158,34 @@ def test_embeddings_zero_dimension(tmp_path):
     assert err.value.offset == 8  # the d field
 
 
+@pytest.mark.parametrize("byte", [2, 7, 255])
+def test_embeddings_masked_byte_other_than_0_or_1(tmp_path, byte):
+    ds = sample_dataset(d=3, n=4)
+    path = tmp_path / "m.emb"
+    write_embeddings(path, ds)
+    raw = bytearray(path.read_bytes())
+    header, record = struct.calcsize("<4sIIQ"), 10 + 4 * 3
+    raw[header + 2 * record + 8] = byte  # masked byte of record 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptRecord, match="record 2 has a masked byte") as err:
+        read_embeddings(path)
+    assert err.value.offset == header + 2 * record
+
+
+def test_embeddings_huge_dimension(tmp_path):
+    # d too large for any numpy record dtype: an empty file loads as (0, d),
+    # one that promises records is refused by its body size at byte 20
+    d = 2**32 - 1
+    path = tmp_path / "huge.emb"
+    path.write_bytes(struct.pack("<4sIIQ", EMB_MAGIC, 1, d, 0))
+    ds = read_embeddings(path)
+    assert len(ds) == 0 and ds.vectors.shape == (0, d)
+    path.write_bytes(struct.pack("<4sIIQ", EMB_MAGIC, 1, d, 3))
+    with pytest.raises(CorruptRecord, match="body holds 0 bytes") as err:
+        read_embeddings(path)
+    assert err.value.offset == 20
+
+
 def test_missing_file_raises_io_error(tmp_path):
     with pytest.raises(IoError):
         read_embeddings(tmp_path / "absent.emb")

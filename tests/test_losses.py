@@ -26,6 +26,14 @@ def random_triple(seed: int, n: int = 5, d: int = 8):
     return a, p, g
 
 
+def hand_triple(d1, d2, d3) -> DistanceTriple:
+    """Hand-set distances over a zero unit cache, so every gradient is zero."""
+    zeros = np.zeros((len(d1), 2))
+    return DistanceTriple(
+        np.array(d1), np.array(d2), np.array(d3), zeros, zeros, zeros, np.ones(len(d1))
+    )
+
+
 def test_compute_distances_hand_values():
     # raw anchor outputs are normalized; unit positives/negatives pass as given
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -72,27 +80,21 @@ def test_triplet_loss_hand_values():
 
 def test_triplet_loss_boundary_hinge_is_inactive():
     # hand-built distances with d1 - d2 + m == 0 up to float rounding
-    dist = DistanceTriple(
-        d1=np.array([0.4]), d2=np.array([0.6]), d3=np.array([1.0])
-    )
+    dist = hand_triple([0.4], [0.6], [1.0])
     res = triplet_loss(dist, m=0.2)
     assert abs(res.loss) < 1e-15
-    assert res.grad_anchor_out is None  # no unit cache on hand-built triples
+    assert np.array_equal(res.grad_anchor_out, np.zeros((1, 2)))
 
 
 def test_triplet_loss_batch_mean():
-    dist = DistanceTriple(
-        d1=np.array([1.0, 0.0, 2.0]),
-        d2=np.array([0.0, 2.0, 1.0]),
-        d3=np.array([1.0, 1.0, 1.0]),
-    )
+    dist = hand_triple([1.0, 0.0, 2.0], [0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
     # hinges with m=0.1: 1.1, 0 (inactive), 1.1 -> mean 2.2/3
     res = triplet_loss(dist, m=0.1)
     assert abs(res.loss - 2.2 / 3.0) < 1e-12
 
 
 def test_margin_validation():
-    dist = DistanceTriple(d1=np.array([0.1]), d2=np.array([0.2]), d3=np.array([0.3]))
+    dist = hand_triple([0.1], [0.2], [0.3])
     with pytest.raises(ValueError):
         triplet_loss(dist, m=-0.5)
     with pytest.raises(ValueError):
@@ -101,11 +103,7 @@ def test_margin_validation():
 
 def test_srt_branch_table():
     def triple(mu2, mu3):
-        return DistanceTriple(
-            d1=np.array([0.5, 0.5]),
-            d2=np.array([mu2 - 0.1, mu2 + 0.1]),
-            d3=np.array([mu3 - 0.1, mu3 + 0.1]),
-        )
+        return hand_triple([0.5, 0.5], [mu2 - 0.1, mu2 + 0.1], [mu3 - 0.1, mu3 + 0.1])
 
     assert srt_branch(triple(1.0, 2.0)) is Branch.TRIPLET   # separation not yet met
     assert srt_branch(triple(2.0, 1.0)) is Branch.SWAP      # imposters already far
@@ -114,11 +112,7 @@ def test_srt_branch_table():
 
 def test_srt_swap_hand_value():
     # swap loss = mean over rows of max(d1 - mean(d3) + m, 0), mean(d3) frozen
-    dist = DistanceTriple(
-        d1=np.array([0.5, 1.5]),
-        d2=np.array([3.0, 3.0]),
-        d3=np.array([1.0, 2.0]),
-    )
+    dist = hand_triple([0.5, 1.5], [3.0, 3.0], [1.0, 2.0])
     res = srt_loss(dist, m=0.4)
     assert res.branch is Branch.SWAP
     # rows: 0.5 - 1.5 + 0.4 = -0.6 (off), 1.5 - 1.5 + 0.4 = 0.4

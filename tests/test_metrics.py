@@ -1,6 +1,7 @@
 """Verification metrics: hand values, oracle agreement, protocol contracts."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_report_bundles_everything():
     assert abs(rep.fdr - 32.0) < 1e-9
     assert rep.eer == 0.0 and rep.fmr100 == 0.0 and rep.fmr1000 == 0.0 and rep.auc == 1.0
     assert rep.n_genuine == 2 and rep.n_imposter == 2
-    d = rep.as_dict()
+    d = asdict(rep)
     assert sorted(d) == [
         "auc",
         "eer",

@@ -286,13 +286,14 @@ def test_history_csv_shape(tiny_dataset):
     assert float(first[6]) == cfg.initial_lr
 
 
-def test_early_stopping_halts_without_improvement(tiny_dataset):
+def test_early_stopping_halts_without_improvement(tiny_dataset, monkeypatch):
     # vanishing lr plus momentum pinned at 1.0 freezes both the parameters
     # and the running statistics, so validation loss never improves and
     # patience cuts the run short at an exactly predictable iteration
-    cfg = quick_config(
-        initial_lr=1e-30, max_iters=500, val_every=10, patience=2, bn_momentum=1.0
+    monkeypatch.setattr(
+        eum.training, "init_params", lambda d, seed: init_params(d, seed, bn_momentum=1.0)
     )
+    cfg = quick_config(initial_lr=1e-30, max_iters=500, val_every=10, patience=2)
     params, history = train(cfg, tiny_dataset)
     assert len(history.iterations) == 30  # best at val 1, stale vals 2 and 3
     assert len(history.val_losses) == 3
