@@ -5,7 +5,7 @@ masked faces back toward the unmasked embedding space of the same identity.
 Training uses triplet sampling with either the classic triplet loss or the
 self-restrained variant that freezes the imposter term once separation is
 sufficient. The rest of the package provides a deterministic synthetic
-dataset generator, biometric verification metrics, binary/CSV file formats,
+dataset generator, biometric verification metrics, binary file formats,
 and a command line for end-to-end experiments.
 """
 

@@ -72,7 +72,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     write_embeddings(out, dataset)
     _write_json(
         out.with_name(out.name + ".manifest.json"),
-        {"command": "gen-data", "spec": spec.as_dict()},
+        {"command": "gen-data", "spec": asdict(spec)},
     )
     rep = phenomenon_report(dataset)
     print(f"wrote {out} ({len(dataset)} records, d={dataset.d})")

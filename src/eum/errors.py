@@ -82,9 +82,9 @@ class VersionUnsupported(EumError):
 
 
 class CorruptRecord(EumError):
-    """File body is malformed; .offset locates the bad record: its byte
-    offset in a binary file, its line number in a CSV file."""
+    """File is malformed; .offset is the byte offset of the bad record,
+    layer or header field."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
+    def __init__(self, path, what: str, offset: int):
+        super().__init__(f"{path}: {what} (byte offset {offset})")
         self.offset = offset

@@ -1,4 +1,4 @@
-"""Binary and CSV dataset files, model checkpoints.
+"""Embedding files and model checkpoints.
 
 Embedding files: magic ``EMB1``, u32 version (=1), u32 d, u64 count, then
 per record u32 identity, u32 sample, u8 masked (0 or 1), u8 split, f32*d
@@ -9,9 +9,11 @@ model has no b: it is written as zeros, and a stored b is folded into
 running_mean on read. Both formats share one frame (_Frame): magic,
 version, d >= 1, the format's further header fields, then a body of equal
 units. Malformed files, NaN or Inf values included, raise CorruptRecord with
-the byte offset of the first bad record, layer or header field (for CSV,
-its line number). A checkpoint header must hold a finite slope, an epsilon
-in (0, inf) and a momentum in [0, 1].
+the byte offset of the first bad record, layer or header field. A checkpoint
+header must hold a finite slope, an epsilon in (0, inf) and a momentum in
+[0, 1]. The embedding writer refuses, before it opens the file, any record
+the reader would refuse or could not give back: identity or sample outside
+[0, 2**32), a split code >= 4, or a vector that is not finite at f32.
 
 A Dataset holds the records as columns (identity, sample, masked, split
 code, vectors); every reader returns one and every writer takes one.
@@ -21,7 +23,6 @@ lossless at 32-bit precision.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -104,10 +105,6 @@ class Dataset:
         return self.subset(mask)
 
 
-def _corrupt(path, what: str, offset: int) -> CorruptRecord:
-    return CorruptRecord(f"{path}: {what} (byte offset {offset})", offset)
-
-
 @dataclass(frozen=True)
 class _Frame:
     """The layout EMB1 and EUM1 share: magic(4s) version(u32) d(u32) and the
@@ -142,7 +139,7 @@ class _Frame:
         if version != FORMAT_VERSION:
             raise VersionUnsupported(f"{path}: version {version}, reader supports {FORMAT_VERSION}")
         if d < 1:
-            raise _corrupt(path, f"dimension {d}", 8)
+            raise CorruptRecord(path, f"dimension {d}", 8)
         return raw, d, fields
 
     def body(self, path, raw: bytes, count: int, unit_bytes: int) -> np.ndarray:
@@ -153,7 +150,7 @@ class _Frame:
         if size != expected:
             whole = min(size, expected) // unit_bytes
             what = f"body holds {size} bytes, header promises {expected}"
-            raise _corrupt(path, what, self.header.size + whole * unit_bytes)
+            raise CorruptRecord(path, what, self.header.size + whole * unit_bytes)
         return np.frombuffer(raw, np.uint8, offset=self.header.size).reshape(count, unit_bytes)
 
     def refuse(self, path, units: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -161,85 +158,43 @@ class _Frame:
         if bad.any():
             i = int(np.argmax(bad))
             offset = self.header.size + i * units.strides[0]
-            raise _corrupt(path, f"{self.unit} {i} has {what}", offset)
+            raise CorruptRecord(path, f"{self.unit} {i} has {what}", offset)
 
 
 _EMB = _Frame(EMB_MAGIC, struct.Struct("<4sIIQ"), "record")
 _CKPT = _Frame(CKPT_MAGIC, struct.Struct("<4sIIddd"), "layer")
 
 
+def _check_records(path, rows: np.ndarray) -> None:
+    """Refuse the first of the EMB1 rows whose masked byte, split code or
+    f32 vector the format does not allow."""
+    _, _, masked, split, vectors = _record_columns(rows)
+    _EMB.refuse(path, rows, masked > 1, "a masked byte other than 0 or 1")
+    _EMB.refuse(path, rows, split >= len(SPLIT_NAMES), "an unknown split code")
+    _EMB.refuse(path, rows, ~np.isfinite(vectors).all(axis=1), "a non-finite vector")
+
+
 def write_embeddings(path, ds: Dataset) -> None:
     rows = np.empty((len(ds), _record_bytes(ds.d)), dtype=np.uint8)
+    # a u32 field would keep only the low 32 bits of these
+    for what, value in (("an identity", ds.identity), ("a sample", ds.sample)):
+        _EMB.refuse(path, rows, (value < 0) | (value >= 2**32), f"{what} outside [0, 2**32)")
     values = (ds.identity, ds.sample, ds.masked, ds.split, ds.vectors)
-    for column, value in zip(_record_columns(rows), values):
-        column[...] = value
+    with np.errstate(over="ignore"):  # a vector beyond f32 range is refused as inf below
+        for column, value in zip(_record_columns(rows), values):
+            column[...] = value
+    _check_records(path, rows)
     _EMB.write(path, ds.d, (len(ds),), rows)
 
 
 def read_embeddings(path) -> Dataset:
     raw, d, (count,) = _EMB.read(path)
     rows = _EMB.body(path, raw, count, _record_bytes(d))
+    _check_records(path, rows)
     identity, sample, masked, split, vectors = _record_columns(rows)
-    _EMB.refuse(path, rows, masked > 1, "a masked byte other than 0 or 1")
-    _EMB.refuse(path, rows, split >= len(SPLIT_NAMES), "an unknown split code")
-    _EMB.refuse(path, rows, ~np.isfinite(vectors).all(axis=1), "a non-finite vector")
     # Dataset converts each column into an array of its own but split,
     # which is u1 already and so is copied out of the file's bytes here
     return Dataset(identity, sample, masked, split.copy(), vectors)
-
-
-def export_csv(path, ds: Dataset) -> None:
-    """Header identity,sample,masked,split,e0..e{d-1}; masked as 0/1."""
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["identity", "sample", "masked", "split"]
-                + [f"e{i}" for i in range(ds.d)]
-            )
-            for i in range(len(ds)):
-                w.writerow(
-                    [
-                        int(ds.identity[i]),
-                        int(ds.sample[i]),
-                        int(ds.masked[i]),
-                        SPLIT_NAMES[ds.split[i]],
-                    ]
-                    + [repr(float(v)) for v in ds.vectors[i]]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def import_csv(path) -> Dataset:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:4] != ["identity", "sample", "masked", "split"]:
-                raise CorruptRecord(f"{path}: line 1: unrecognized CSV header {header!r}", 1)
-            if len(header) == 4:
-                raise CorruptRecord(f"{path}: line 1: CSV header has no vector column", 1)
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-    identity, sample, masked, split, vectors = [], [], [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, header has {len(header)}")
-            identity.append(int(row[0]))
-            sample.append(int(row[1]))
-            masked.append(bool(int(row[2])))
-            split.append(SPLIT_CODES[row[3]])
-            vectors.append([float(v) for v in row[4:]])
-            if not np.isfinite(vectors[-1]).all():
-                raise ValueError("non-finite vector")
-        except (ValueError, KeyError, IndexError) as exc:
-            raise CorruptRecord(f"{path}: line {lineno}: {exc}", offset=lineno) from exc
-    d = len(header) - 4  # also the shape of a file that holds no rows
-    return Dataset(identity, sample, masked, split, np.reshape(vectors, (len(rows), d)))
 
 
 def write_checkpoint(path, params: EumParameters) -> None:
@@ -254,11 +209,11 @@ def write_checkpoint(path, params: EumParameters) -> None:
 def read_checkpoint(path) -> EumParameters:
     raw, d, (slope, epsilon, momentum) = _CKPT.read(path)
     if not math.isfinite(slope):
-        raise _corrupt(path, f"leaky slope {slope!r}", 12)
+        raise CorruptRecord(path, f"leaky slope {slope!r}", 12)
     if not 0.0 < epsilon < math.inf:
-        raise _corrupt(path, f"bn epsilon {epsilon!r}", 20)
+        raise CorruptRecord(path, f"bn epsilon {epsilon!r}", 20)
     if not 0.0 <= momentum <= 1.0:
-        raise _corrupt(path, f"bn momentum {momentum!r}", 28)
+        raise CorruptRecord(path, f"bn momentum {momentum!r}", 28)
     layers = _CKPT.body(path, raw, NUM_LAYERS, (d * d + 5 * d) * 4).view("<f4")
     _CKPT.refuse(path, layers, ~np.isfinite(layers).all(axis=1), "a non-finite value")
     w, b, gamma, beta, mean, var = np.split(

@@ -13,7 +13,7 @@ the same seed always yields the same records in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class SynthSpec:
             raise InvalidSpec(f"split needs {len(SPLIT_NAMES)} fractions")
         if not all(f >= 0 for f in self.split) or not abs(sum(self.split) - 1.0) <= 1e-9:
             raise InvalidSpec(f"split fractions must be >= 0 and sum to 1, got {self.split}")
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["split"] = list(self.split)
-        return out
 
 
 def _allocate(n: int, fractions) -> np.ndarray:

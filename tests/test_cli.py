@@ -356,7 +356,7 @@ def test_non_default_flags_round_trip_into_the_manifests(workdir, data_file):
     assert all(getattr(spec, f.name) != getattr(SynthSpec(), f.name) for f in fields(spec))
     out = workdir / "flags.emb"
     assert main(["gen-data", "--out", str(out)] + gen_argv) == 0
-    assert _manifest(out)["spec"] == spec.as_dict()
+    assert _manifest(out)["spec"] == {**asdict(spec), "split": list(spec.split)}
 
     cfg = TrainConfig(
         loss_kind="triplet",

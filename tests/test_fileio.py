@@ -1,4 +1,4 @@
-"""Binary/CSV formats: round trips, layout pins, corruption handling."""
+"""Binary formats: round trips, layout pins, corruption handling."""
 
 import struct
 
@@ -20,8 +20,6 @@ from eum.fileio import (
     SPLIT_CODES,
     SPLIT_NAMES,
     Dataset,
-    export_csv,
-    import_csv,
     read_checkpoint,
     read_embeddings,
     write_checkpoint,
@@ -141,12 +139,47 @@ def test_embeddings_bad_split_code(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_embeddings_non_finite_vector_offset(tmp_path, bad):
     ds = sample_dataset(d=4, n=5)
-    ds.vectors[3, 2] = bad
     path = tmp_path / "nan.emb"
     write_embeddings(path, ds)
+    offset = struct.calcsize("<4sIIQ") + 3 * (10 + 4 * 4)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset + 10 + 2 * 4, bad)  # cell 2 of record 3
+    path.write_bytes(bytes(raw))
     with pytest.raises(CorruptRecord, match="record 3 has a non-finite vector") as err:
         read_embeddings(path)
-    assert err.value.offset == struct.calcsize("<4sIIQ") + 3 * (10 + 4 * 4)
+    assert err.value.offset == offset
+    # the writer refuses the same record at the same offset, before any write
+    ds.vectors[3, 2] = bad
+    path.unlink()
+    with pytest.raises(CorruptRecord, match="record 3 has a non-finite vector") as err:
+        write_embeddings(path, ds)
+    assert err.value.offset == offset
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, what",
+    [
+        ("split", 4, "an unknown split code"),
+        ("split", 7, "an unknown split code"),
+        ("split", 255, "an unknown split code"),
+        ("identity", -1, "an identity outside"),
+        ("identity", 2**32, "an identity outside"),
+        ("identity", 2**32 + 5, "an identity outside"),
+        ("sample", -1, "a sample outside"),
+        ("sample", 2**32, "a sample outside"),
+        ("vectors", 1e300, "a non-finite vector"),
+        ("vectors", -1e39, "a non-finite vector"),
+    ],
+)
+def test_write_embeddings_refuses_what_it_cannot_read_back(tmp_path, column, value, what):
+    ds = sample_dataset(d=3, n=5)
+    getattr(ds, column)[2] = value
+    path = tmp_path / "refused.emb"
+    with pytest.raises(CorruptRecord, match=f"record 2 has {what}") as err:
+        write_embeddings(path, ds)
+    assert err.value.offset == struct.calcsize("<4sIIQ") + 2 * (10 + 4 * 3)
+    assert not path.exists()
 
 
 def test_embeddings_zero_dimension(tmp_path):
@@ -191,60 +224,6 @@ def test_missing_file_raises_io_error(tmp_path):
         read_embeddings(tmp_path / "absent.emb")
     with pytest.raises(IoError):
         read_checkpoint(tmp_path / "absent.eum")
-
-
-def test_csv_round_trip(tmp_path):
-    ds = sample_dataset(d=5, n=12)
-    path = tmp_path / "x.csv"
-    export_csv(path, ds)
-    back = import_csv(path)
-    assert np.array_equal(back.identity, ds.identity)
-    assert np.array_equal(back.masked, ds.masked)
-    assert np.array_equal(back.split, ds.split)
-    # repr round-trips float64 exactly
-    assert np.array_equal(back.vectors, ds.vectors)
-    header = path.read_text().splitlines()[0]
-    assert header == "identity,sample,masked,split," + ",".join(f"e{i}" for i in range(5))
-    # a file holding only its header is an empty dataset of the header's d
-    export_csv(path, ds.subset(np.zeros(len(ds), dtype=bool)))
-    assert path.read_text().splitlines() == [header]
-    back = import_csv(path)
-    assert len(back) == 0 and back.vectors.shape == (0, 5) and back.d == 5
-
-
-def test_csv_corruption(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("identity,sample,masked,split,e0\n1,0,0,train,0.5\n2,zz,1,val,0.5\n")
-    with pytest.raises(CorruptRecord) as err:
-        import_csv(path)
-    assert err.value.offset == 3  # line number of the bad row
-    path.write_text("who,knows\n")
-    with pytest.raises(CorruptRecord):
-        import_csv(path)
-    path.write_text("identity,sample,masked,split\n1,0,0,train\n")
-    with pytest.raises(CorruptRecord, match="line 1: CSV header has no vector column$") as err:
-        import_csv(path)
-    assert err.value.offset == 1
-
-
-def test_csv_ragged_row_names_its_line(tmp_path):
-    path = tmp_path / "bad_row.csv"
-    for row, reason in (
-        ("2,0,1,val,0.5", "5 fields, header has 6"),
-        ("2,0,1,val,nan,0.5", "non-finite vector"),
-        ("2,0,1,val,0.5,inf", "non-finite vector"),
-        ("2,0,1,val,-inf,0.5", "non-finite vector"),
-    ):
-        path.write_text(
-            "identity,sample,masked,split,e0,e1\n"
-            "1,0,0,train,0.5,0.25\n"
-            "1,1,0,train,0.5,0.25\n"
-            f"{row}\n"
-        )
-        # the line is named once, and no byte offset is claimed
-        with pytest.raises(CorruptRecord, match=f"bad_row.csv: line 4: {reason}$") as err:
-            import_csv(path)
-        assert err.value.offset == 4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -403,7 +382,7 @@ def test_checkpoint_round_trip_and_truncation_property(tmp_path_factory, d, seed
         read_checkpoint(path)
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+_f32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
 @settings(max_examples=25, deadline=None)
@@ -444,44 +423,23 @@ def _datasets(draw):
     n = draw(st.integers(1, 6))
     col = st.lists
     return Dataset(
-        identity=draw(col(st.integers(0, 2**31), min_size=n, max_size=n)),
-        sample=draw(col(st.integers(0, 2**31), min_size=n, max_size=n)),
+        identity=draw(col(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
+        sample=draw(col(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
         masked=draw(col(st.booleans(), min_size=n, max_size=n)),
         split=draw(col(st.integers(0, len(SPLIT_NAMES) - 1), min_size=n, max_size=n)),
-        vectors=np.reshape(draw(col(_finite, min_size=n * d, max_size=n * d)), (n, d)),
+        vectors=np.reshape(draw(col(_f32, min_size=n * d, max_size=n * d)), (n, d)),
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(ds=_datasets())
-def test_csv_round_trip_property(tmp_path_factory, ds):
-    path = tmp_path_factory.mktemp("csv") / "x.csv"
-    export_csv(path, ds)
-    back = import_csv(path)
-    for column in ("identity", "sample", "masked", "split", "vectors"):
+def test_embeddings_round_trip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("emb") / "x.emb"
+    write_embeddings(path, ds)
+    back = read_embeddings(path)
+    for column in ("identity", "sample", "masked", "split"):
         assert np.array_equal(getattr(back, column), getattr(ds, column)), column
-
-
-@settings(max_examples=40, deadline=None)
-@given(ds=_datasets(), data=st.data())
-def test_csv_bad_row_names_its_line_property(tmp_path_factory, ds, data):
-    path = tmp_path_factory.mktemp("csv") / "bad.csv"
-    export_csv(path, ds)
-    lines = path.read_text().splitlines()
-    lineno = data.draw(st.integers(2, len(lines)), label="line")
-    cells = lines[lineno - 1].split(",")
-    flaw = data.draw(st.sampled_from(["short", "long", "nan", "inf", "-inf"]), label="flaw")
-    if flaw == "short":
-        cells.pop()
-    elif flaw == "long":
-        cells.append("0.5")
-    else:
-        cells[data.draw(st.integers(4, len(cells) - 1), label="cell")] = flaw
-    lines[lineno - 1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptRecord, match=f"bad.csv: line {lineno}: ") as err:
-        import_csv(path)
-    assert err.value.offset == lineno
+    assert np.array_equal(back.vectors, ds.vectors.astype(np.float32))
 
 
 def test_checkpoint_with_stored_bias_matches_old_formula(tmp_path):

@@ -1,5 +1,8 @@
 """Synthetic dataset generator: determinism, geometry, splits, reports."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -167,5 +170,7 @@ def test_invalid_specs_rejected():
 
 def test_spec_dict_round_trip():
     spec = small_spec(mask_strength=0.4)
-    again = SynthSpec(**{**spec.as_dict(), "split": tuple(spec.as_dict()["split"])})
+    # as gen-data's manifest stores it: asdict through JSON, split as a list
+    stored = json.loads(json.dumps(asdict(spec)))
+    again = SynthSpec(**{**stored, "split": tuple(stored["split"])})
     assert again == spec
